@@ -5,6 +5,11 @@ allocated variables are mapped to concrete registers.  On chordal (SSA)
 graphs this is the easy part the paper leverages — a greedy scan of the
 reverse perfect elimination order ("tree-scan") colors the graph with exactly
 its clique number — and on general graphs a greedy coloring is attempted.
+:func:`assign_registers_by_peo` tree-scans along the problem's own PEO
+restricted to the allocated variables, so a chordal problem is assigned
+without an induced-subgraph copy or a second elimination order;
+:func:`assign_registers` colours the induced subgraph and serves general
+graphs (and stays the reference the restriction is tested against).
 
 Constrained problems (:class:`~repro.alloc.constraints.ProblemConstraints`)
 take a different path, :func:`assign_constrained`: constrained allocators
@@ -21,7 +26,13 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 from repro.alloc.constraints import ProblemConstraints
 from repro.errors import AllocationError
 from repro.graphs.chordal import is_chordal, maximum_cardinality_search
-from repro.graphs.coloring import chordal_coloring, greedy_coloring, is_valid_coloring
+from repro.graphs.coloring import (
+    Coloring,
+    chordal_coloring,
+    greedy_coloring,
+    is_valid_coloring,
+    restricted_coloring,
+)
 from repro.graphs.graph import Graph, Vertex
 
 
@@ -32,6 +43,11 @@ def assign_registers(
     register_names: Optional[Dict[int, str]] = None,
 ) -> Dict[Vertex, str]:
     """Map each allocated variable to a register name.
+
+    This is the general-graph path: it colours the induced subgraph of the
+    allocated variables, by tree-scan when that subgraph is chordal and
+    greedily otherwise.  Chordal problems take
+    :func:`assign_registers_by_peo` instead, which needs no subgraph.
 
     ``register_names`` optionally maps color indices to target register names
     (e.g. ``{0: "r0", 1: "r1"}``); indices are used when omitted.  When the
@@ -54,7 +70,35 @@ def assign_registers(
         coloring = greedy_coloring(induced)
         if not is_valid_coloring(induced, coloring):
             raise AllocationError("internal error: greedy coloring produced an invalid coloring")
+    return _registers_of(coloring, num_registers, register_names)
 
+
+def assign_registers_by_peo(
+    graph: Graph,
+    peo: Sequence[Vertex],
+    allocated: Iterable[Vertex],
+    num_registers: int,
+    register_names: Optional[Dict[int, str]] = None,
+) -> Dict[Vertex, str]:
+    """:func:`assign_registers` for a chordal ``graph`` with PEO ``peo``.
+
+    The tree-scan runs along ``reversed(peo)`` restricted to the allocated
+    variables (:func:`~repro.graphs.coloring.restricted_coloring`): a PEO of
+    the graph restricted to a vertex set is a PEO of the induced subgraph, so
+    the colouring uses exactly its clique number of registers without a
+    subgraph copy or a second elimination order.  Register names may differ
+    from :func:`assign_registers`, which orders the subgraph afresh; the
+    number of registers used and the errors raised do not.
+    """
+    return _registers_of(restricted_coloring(graph, peo, allocated), num_registers, register_names)
+
+
+def _registers_of(
+    coloring: Coloring, num_registers: int, register_names: Optional[Dict[int, str]]
+) -> Dict[Vertex, str]:
+    """Name the colours of ``coloring``, checking the register budget."""
+    if not coloring:
+        return {}
     colors_used = max(coloring.values()) + 1
     if colors_used > num_registers:
         raise AllocationError(

@@ -45,16 +45,18 @@ class AllocationProblem:
 
     Cache-sharing contract
     ----------------------
-    :meth:`with_registers` clones share these caches **by reference** — the
-    clone and the original point at the *same* PEO list, clique list and
-    ``derived`` dict, because none of them depend on ``R``.  The shared data
-    is valid only while the underlying :class:`~repro.graphs.graph.Graph` is
-    unchanged.  Mutating the graph after a cache has been filled (adding or
-    removing vertices/edges, reweighting) is detected through the graph's
-    :attr:`~repro.graphs.graph.Graph.mutation_stamp`: the next cached-property
-    access on *any* clone drops every cached structure — including the shared
-    ``derived`` dict, so content digests cached there can never go stale —
-    and recomputes from the current graph.
+    Every cached structure lives in one ``derived`` dict, and
+    :meth:`with_registers` clones share that dict **by reference** — the
+    clone and the original see the *same* chordality flag, PEO list, clique
+    list and allocator scratch data, because none of them depend on ``R``.
+    A register-count sweep therefore computes each of them once, whichever
+    clone asks first.  The shared data is valid only while the underlying
+    :class:`~repro.graphs.graph.Graph` is unchanged.  Mutating the graph
+    after a cache has been filled (adding or removing vertices/edges,
+    reweighting) is detected through the graph's
+    :attr:`~repro.graphs.graph.Graph.mutation_stamp`: the next cached access
+    on *any* clone clears the shared dict — so content digests cached there
+    can never go stale either — and recomputes from the current graph.
     """
 
     graph: Graph
@@ -62,26 +64,19 @@ class AllocationProblem:
     intervals: Optional[List[LiveInterval]] = None
     name: str = ""
     constraints: Optional[ProblemConstraints] = None
-    _chordal: Optional[bool] = field(default=None, repr=False)
-    _peo: Optional[List[Vertex]] = field(default=None, repr=False)
-    _cliques: Optional[List[Clique]] = field(default=None, repr=False)
-    #: shared scratch cache for R-independent derived data (biased weights,
-    #: heuristic clusters, content digests, ...); allocators key it by a short
-    #: string.  The *same dict object* is carried across
+    #: shared cache for R-independent derived data (chordality, PEO, cliques,
+    #: biased weights, heuristic clusters, content digests, ...), keyed by a
+    #: short string.  The *same dict object* is carried across
     #: :meth:`with_registers` clones — see the cache-sharing contract above.
     _derived_cache: Dict[str, object] = field(default_factory=dict, repr=False, compare=False)
-    #: graph mutation stamp the caches were filled against (stale-cache guard).
-    _cache_stamp: Optional[int] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.num_registers < 0:
             raise AllocationError(f"negative register count {self.num_registers}")
-        if self._cache_stamp is None:
-            self._cache_stamp = getattr(self.graph, "mutation_stamp", None)
 
-    #: sentinel key under which the *shared* derived dict records the graph
-    #: stamp it was filled against, so invalidation of the shared dict
-    #: happens exactly once across all :meth:`with_registers` sharers.
+    #: key under which the shared derived dict records the graph stamp it was
+    #: filled against, so invalidation happens exactly once across all
+    #: :meth:`with_registers` sharers.
     _DERIVED_STAMP_KEY = "__graph_mutation_stamp__"
 
     # ------------------------------------------------------------------ #
@@ -89,44 +84,33 @@ class AllocationProblem:
         """Drop every cached derived structure if the graph mutated.
 
         Returns ``True`` when the caches were still coherent, ``False`` when
-        a graph mutation was detected and caches were flushed.  Every
-        cached-property access calls this; the pipeline engine also calls it
-        explicitly before keying the content-addressed store, because a
-        stale cached digest would poison the cache for every later run.
+        a graph mutation was detected and caches were flushed.  Every cached
+        access calls this; the pipeline engine also calls it explicitly
+        before keying the content-addressed store, because a stale cached
+        digest would poison the cache for every later run.
 
-        Two stamps are kept: a per-instance one guarding the private
-        ``_chordal``/``_peo``/``_cliques`` fields, and one stored *inside*
-        the shared ``derived`` dict guarding its entries — so after a
-        mutation the shared dict is cleared exactly once, and a sibling
-        clone catching up later invalidates only its private fields instead
-        of wiping entries the first sharer already recomputed.
+        The stamp is stored *inside* the shared dict, so after a mutation
+        the dict is cleared exactly once: a sibling clone catching up later
+        finds it coherent instead of wiping entries the first sharer already
+        recomputed.
         """
         stamp = getattr(self.graph, "mutation_stamp", None)
-        coherent = True
-        if stamp != self._cache_stamp:
-            self._chordal = None
-            self._peo = None
-            self._cliques = None
-            self._cache_stamp = stamp
-            coherent = False
         shared_stamp = self._derived_cache.get(self._DERIVED_STAMP_KEY)
-        if shared_stamp != stamp:
-            if shared_stamp is not None:
-                # clear() (not a fresh dict) so every sharer observes it.
-                self._derived_cache.clear()
-                coherent = False
-            self._derived_cache[self._DERIVED_STAMP_KEY] = stamp
+        if shared_stamp == stamp:
+            return True
+        coherent = shared_stamp is None
+        if not coherent:
+            # clear() (not a fresh dict) so every sharer observes it.
+            self._derived_cache.clear()
+        self._derived_cache[self._DERIVED_STAMP_KEY] = stamp
         return coherent
 
     def _elimination_order(self) -> List[Vertex]:
         """The reversed-MCS candidate elimination order, computed once.
 
         ``is_chordal``, ``peo`` and ``cliques`` all start from the same
-        deterministic maximum-cardinality search of the same graph; caching
-        the order in the shared ``derived`` dict means one MCS per instance
-        (and per register-count sweep) instead of one per property.  The
-        per-property results are unchanged — each used to run its own MCS
-        and got this exact order every time.
+        deterministic maximum-cardinality search of the same graph, so one
+        MCS per instance (and per register-count sweep) serves all three.
         """
         return self.derived(
             "mcs_elimination_order",
@@ -135,34 +119,32 @@ class AllocationProblem:
 
     @property
     def is_chordal(self) -> bool:
-        """Whether the interference graph is chordal (cached)."""
-        self.ensure_cache_coherent()
-        if self._chordal is None:
-            self._chordal = is_perfect_elimination_order(self.graph, self._elimination_order())
-        return self._chordal
+        """Whether the interference graph is chordal (cached).
+
+        Certified by checking the MCS order with the PEO test, which stays a
+        separate pass over an arbitrary order.
+        """
+        return self.derived(
+            "is_chordal",
+            lambda: is_perfect_elimination_order(self.graph, self._elimination_order()),
+        )
 
     @property
     def peo(self) -> List[Vertex]:
         """A perfect elimination order of the graph (chordal instances only)."""
-        self.ensure_cache_coherent()
-        if self._peo is None:
-            if not self.is_chordal:
-                raise NotChordalError(
-                    "graph is not chordal: no perfect elimination order exists"
-                )
-            self._peo = self._elimination_order()
-        return self._peo
+        if not self.is_chordal:
+            raise NotChordalError("graph is not chordal: no perfect elimination order exists")
+        return self._elimination_order()
 
     @property
     def cliques(self) -> List[Clique]:
         """The maximal cliques of the interference graph (cached)."""
-        self.ensure_cache_coherent()
-        if self._cliques is None:
-            if self.is_chordal:
-                self._cliques = maximal_cliques_chordal(self.graph, self._elimination_order())
-            else:
-                self._cliques = maximal_cliques_general(self.graph)
-        return self._cliques
+        return self.derived(
+            "cliques",
+            lambda: maximal_cliques_chordal(self.graph, self._elimination_order())
+            if self.is_chordal
+            else maximal_cliques_general(self.graph),
+        )
 
     @property
     def max_pressure(self) -> int:
@@ -186,14 +168,14 @@ class AllocationProblem:
     def with_registers(self, num_registers: int) -> "AllocationProblem":
         """Return the same instance with a different register count.
 
-        Cached graph-derived structures (chordality flag, PEO, cliques and
-        the ``derived`` dict) are shared *by reference* because they do not
-        depend on ``R`` — this is what makes register-count sweeps cheap.
+        The clone shares the original's ``derived`` dict *by reference* —
+        chordality flag, PEO, cliques and allocator scratch data do not
+        depend on ``R``, which is what makes register-count sweeps cheap.
         The clone therefore aliases the original's graph and caches: mutate
         neither.  If the graph does mutate, the
         :attr:`~repro.graphs.graph.Graph.mutation_stamp` guard invalidates
-        the caches of every clone on its next access (see the class-level
-        cache-sharing contract).
+        the shared caches on the next access from any clone (see the
+        class-level cache-sharing contract).
         """
         clone = AllocationProblem(
             graph=self.graph,
@@ -202,11 +184,7 @@ class AllocationProblem:
             name=self.name,
             constraints=self.constraints,
         )
-        clone._chordal = self._chordal
-        clone._peo = self._peo
-        clone._cliques = self._cliques
         clone._derived_cache = self._derived_cache
-        clone._cache_stamp = self._cache_stamp
         return clone
 
     def derived(self, key: str, compute):

@@ -5,7 +5,10 @@ variables can be colored with the available registers.  The check used here
 mirrors the structure of the allocators:
 
 * on chordal graphs feasibility is exact: the clique number of the induced
-  sub-graph (computed via a perfect elimination order) must not exceed ``R``;
+  sub-graph must not exceed ``R``.  For a chordal problem it is read off the
+  problem's own perfect elimination order restricted to the allocated
+  variables (:func:`feasibility_by_peo`), with no subgraph copy and no second
+  search;
 * on general graphs exact verification is NP-hard, so the check combines the
   necessary maximal-clique condition with a sufficient greedy-coloring
   attempt and reports which one decided.
@@ -21,14 +24,19 @@ not just interference-freedom.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, Optional, Sequence
 
 from repro.alloc.problem import AllocationProblem
 from repro.alloc.result import AllocationResult
 from repro.errors import InvalidAllocationError
 from repro.graphs.chordal import is_chordal
 from repro.graphs.cliques import maximal_cliques
-from repro.graphs.coloring import chromatic_number_chordal, greedy_coloring, is_valid_coloring
+from repro.graphs.coloring import (
+    chromatic_number_chordal,
+    greedy_coloring,
+    is_valid_coloring,
+    restricted_clique_number,
+)
 from repro.graphs.graph import Graph, Vertex
 from repro.targets.machine import TargetMachine
 
@@ -43,7 +51,12 @@ class FeasibilityReport:
 
 
 def is_allocation_feasible(graph: Graph, allocated: Iterable[Vertex], num_registers: int) -> FeasibilityReport:
-    """Check whether ``allocated`` fits in ``num_registers`` registers."""
+    """Check whether ``allocated`` fits in ``num_registers`` registers.
+
+    This is the general-graph path over the induced subgraph; chordal
+    problems take :func:`feasibility_by_peo`, which reports the same verdict
+    and reason without one.
+    """
     induced = graph.subgraph(allocated)
     if len(induced) == 0:
         return FeasibilityReport(True, True, "empty allocation")
@@ -51,13 +64,7 @@ def is_allocation_feasible(graph: Graph, allocated: Iterable[Vertex], num_regist
         return FeasibilityReport(False, True, "no registers available")
 
     if is_chordal(induced):
-        needed = chromatic_number_chordal(induced)
-        feasible = needed <= num_registers
-        return FeasibilityReport(
-            feasible,
-            True,
-            f"chordal induced sub-graph needs {needed} colors for {num_registers} registers",
-        )
+        return _chordal_report(chromatic_number_chordal(induced), num_registers)
 
     # Necessary condition: no clique larger than R.
     omega = max((len(c) for c in maximal_cliques(induced)), default=0)
@@ -71,6 +78,33 @@ def is_allocation_feasible(graph: Graph, allocated: Iterable[Vertex], num_regist
         True,
         False,
         "clique bound satisfied but greedy coloring exceeded R; feasibility undecided (clique relaxation)",
+    )
+
+
+def feasibility_by_peo(
+    graph: Graph, peo: Sequence[Vertex], allocated: Iterable[Vertex], num_registers: int
+) -> FeasibilityReport:
+    """:func:`is_allocation_feasible` for a chordal ``graph`` with PEO ``peo``.
+
+    ``peo`` restricted to the allocated variables is a PEO of their induced
+    subgraph, so its clique number — which equals its chromatic number —
+    comes from one walk of the order
+    (:func:`~repro.graphs.coloring.restricted_clique_number`).  The verdict
+    is exact, as on the general path for a chordal subgraph.
+    """
+    needed = restricted_clique_number(graph, peo, allocated)
+    if needed == 0:
+        return FeasibilityReport(True, True, "empty allocation")
+    if num_registers <= 0:
+        return FeasibilityReport(False, True, "no registers available")
+    return _chordal_report(needed, num_registers)
+
+
+def _chordal_report(needed: int, num_registers: int) -> FeasibilityReport:
+    return FeasibilityReport(
+        needed <= num_registers,
+        True,
+        f"chordal induced sub-graph needs {needed} colors for {num_registers} registers",
     )
 
 

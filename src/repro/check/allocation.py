@@ -22,6 +22,12 @@ new static audit of the spill-code rewrite:
 The diagnostic *messages* of the first two families are byte-identical to
 the historical :class:`~repro.errors.InvalidAllocationError` messages, so
 the shims in :mod:`repro.alloc.verify` can re-raise them unchanged.
+
+Neither family copies the interference graph.  On a chordal problem
+``ALLOC004`` takes the clique number of the allocated subgraph from the
+problem's own PEO restricted to the allocated variables; on a dense graph
+``ALLOC007`` tests one mask per register against the adjacency rows and
+walks the edges only to report a clash it found.
 """
 
 from __future__ import annotations
@@ -32,7 +38,8 @@ from repro.alloc.problem import AllocationProblem
 from repro.alloc.result import AllocationResult
 from repro.check.diagnostics import Diagnostic, Location, Severity
 from repro.check.registry import Checker, CheckRequest
-from repro.graphs.graph import Vertex
+from repro.graphs.dense import DenseGraph, bit_indices
+from repro.graphs.graph import Graph, Vertex
 from repro.ir.function import Function
 from repro.ir.instructions import Opcode
 from repro.ir.values import Constant, VirtualRegister
@@ -60,7 +67,7 @@ def allocation_report_and_diagnostics(
     """Like :func:`allocation_diagnostics`, also returning the feasibility
     report (``None`` when the bookkeeping is too broken to compute one) so
     the :func:`repro.alloc.verify.check_allocation` shim pays for it once."""
-    from repro.alloc.verify import is_allocation_feasible
+    from repro.alloc.verify import feasibility_by_peo, is_allocation_feasible
 
     where = Location(function=function_name)
     diagnostics: List[Diagnostic] = []
@@ -97,9 +104,14 @@ def allocation_report_and_diagnostics(
         )
     report = None
     if not any(d.code in ("ALLOC001", "ALLOC002") for d in diagnostics):
-        report = is_allocation_feasible(
-            problem.graph, result.allocated, result.num_registers
-        )
+        if problem.is_chordal:
+            report = feasibility_by_peo(
+                problem.graph, problem.peo, result.allocated, result.num_registers
+            )
+        else:
+            report = is_allocation_feasible(
+                problem.graph, result.allocated, result.num_registers
+            )
         if strict and report.exact and not report.feasible:
             diagnostics.append(
                 Diagnostic(
@@ -152,30 +164,33 @@ def assignment_diagnostics(
             )
         )
     graph = problem.graph
-    for vertex in allocated:
-        if vertex not in assignment:
-            continue
-        for neighbor in graph.neighbors(vertex):
-            if (
-                neighbor in allocated
-                and neighbor in assignment
-                and assignment[vertex] == assignment[neighbor]
-                and str(vertex) < str(neighbor)
-            ):
-                diagnostics.append(
-                    Diagnostic(
-                        code="ALLOC007",
-                        message=(
-                            f"interfering variables {vertex} and {neighbor} share "
-                            f"register {assignment[vertex]!r}"
-                        ),
-                        location=Location(
-                            function=function_name,
-                            operand=f"{vertex}, {neighbor}",
-                        ),
-                        hint="interfering variables need distinct registers",
+    # The masks decide the common, clean case; the edge-by-edge walk runs
+    # only when they cannot, and emits the diagnostics in its own order.
+    if not _clash_free(graph, allocated, assignment):
+        for vertex in allocated:
+            if vertex not in assignment:
+                continue
+            for neighbor in graph.neighbors(vertex):
+                if (
+                    neighbor in allocated
+                    and neighbor in assignment
+                    and assignment[vertex] == assignment[neighbor]
+                    and str(vertex) < str(neighbor)
+                ):
+                    diagnostics.append(
+                        Diagnostic(
+                            code="ALLOC007",
+                            message=(
+                                f"interfering variables {vertex} and {neighbor} share "
+                                f"register {assignment[vertex]!r}"
+                            ),
+                            location=Location(
+                                function=function_name,
+                                operand=f"{vertex}, {neighbor}",
+                            ),
+                            hint="interfering variables need distinct registers",
+                        )
                     )
-                )
     used = {assignment[v] for v in allocated if v in assignment}
     if len(used) > problem.num_registers:
         diagnostics.append(
@@ -212,6 +227,28 @@ def assignment_diagnostics(
                 )
             )
     return diagnostics
+
+
+def _clash_free(graph: Graph, allocated: Set[Vertex], assignment: Dict[Vertex, str]) -> bool:
+    """Whether the dense rows prove ``ALLOC007`` silent: one mask per register
+    holds its allocated holders, and no holder's row meets its own register's
+    mask.  ``False`` sends the caller to the edge-by-edge walk, which emits
+    the diagnostics: on a clash, on a set-backed graph, or when a holder is
+    not a vertex of the graph (the walk raises on it)."""
+    if not isinstance(graph, DenseGraph):
+        return False
+    rows = graph.dense_rows()
+    if rows is None:
+        return False
+    holders: Dict[str, List[Vertex]] = {}
+    for vertex in allocated:
+        if vertex in assignment:
+            holders.setdefault(assignment[vertex], []).append(vertex)
+    for members in holders.values():
+        mask = graph.mask_of(members)
+        if mask.bit_count() != len(members) or any(rows[i] & mask for i in bit_indices(mask)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------- #

@@ -17,7 +17,8 @@ provides:
 * Frank's linear-time maximum weighted stable set algorithm for chordal
   graphs, plus a greedy approximation and a brute-force reference
   (:mod:`repro.graphs.stable_set`);
-* greedy colorings (:mod:`repro.graphs.coloring`);
+* greedy colorings, and the colouring and clique number of an induced
+  subgraph read off a PEO of the whole graph (:mod:`repro.graphs.coloring`);
 * random graph generators used by the synthetic workloads
   (:mod:`repro.graphs.generators`);
 * JSON (de)serialization of weighted graphs (:mod:`repro.graphs.io`).
@@ -49,6 +50,8 @@ from repro.graphs.coloring import (
     chordal_coloring,
     chromatic_number_chordal,
     is_valid_coloring,
+    restricted_clique_number,
+    restricted_coloring,
 )
 from repro.graphs.io import graph_to_dict, graph_from_dict, dump_graph, load_graph
 
@@ -73,6 +76,8 @@ __all__ = [
     "chordal_coloring",
     "chromatic_number_chordal",
     "is_valid_coloring",
+    "restricted_clique_number",
+    "restricted_coloring",
     "graph_to_dict",
     "graph_from_dict",
     "dump_graph",

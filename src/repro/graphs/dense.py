@@ -11,14 +11,18 @@ consumer actually asks for them (``neighbors``/``subgraph``/``copy``);
 mask-level queries (``has_edge``, ``degree``, ``edges``, the dense kernels
 below) never build a set.
 
-The payoff is in the kernels: :func:`dense_mcs`,
-:func:`dense_is_perfect_elimination_order`,
-:func:`dense_chordal_clique_masks` and :func:`dense_frank` are exact
-replicas of their set-based counterparts in :mod:`repro.graphs.chordal`,
-:mod:`repro.graphs.cliques` and :mod:`repro.graphs.stable_set` — same
-results, same orders, same tie-breaking — operating on int masks instead of
-hash sets.  The set-based implementations remain in-tree as the reference
-oracle; the property suite pins the equivalence.
+The payoff is in the kernels.  :func:`dense_mcs` (bucket masks),
+:func:`dense_is_peo` (suffix masks), :func:`dense_chordal_clique_masks` and
+:func:`dense_frank` return what their set-based counterparts in
+:mod:`repro.graphs.chordal`, :mod:`repro.graphs.cliques` and
+:mod:`repro.graphs.stable_set` return — same results, same orders, same
+tie-breaking — with int-mask arithmetic instead of hash sets, and their own
+algorithms where masks allow a cheaper one.
+:func:`dense_restricted_coloring` and :func:`dense_restricted_clique_number`
+answer colouring and clique-number queries about an induced subgraph from a
+PEO of the whole graph (see :mod:`repro.graphs.coloring`).  The set-based
+implementations remain in-tree as the reference oracle; the property suite
+pins the equivalence.
 
 Mutation contract: structural mutations (``add_edge``, ``remove_vertex``,
 ...) first materialize the adjacency sets, then *degrade* the instance to
@@ -29,8 +33,7 @@ the dense rows valid — masks do not encode weights.
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Container, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import GraphError
 from repro.graphs.graph import Graph, Vertex
@@ -306,15 +309,19 @@ def dense_rows_of(graph: Graph) -> Optional[List[int]]:
 
 
 # ---------------------------------------------------------------------- #
-# dense kernels — exact replicas of the set-based reference algorithms
+# dense kernels — same results as the set-based reference algorithms
 # ---------------------------------------------------------------------- #
 def dense_mcs(graph: DenseGraph, start: Optional[Vertex] = None) -> List[Vertex]:
-    """Maximum cardinality search on bitmask rows.
+    """Maximum cardinality search on bitmask rows, by bucket masks.
 
-    Replicates :func:`repro.graphs.chordal.maximum_cardinality_search`
-    bit-for-bit: same (visited-neighbour count, insertion-order tie) priority,
-    same lazy-heap semantics, hence the same visit order — the heap entries
-    are just packed into single ints.
+    Returns the visit order of
+    :func:`repro.graphs.chordal.maximum_cardinality_search`: the unvisited
+    vertex with the most visited neighbours, ties to the lowest insertion
+    index, ``start`` first when given.  ``buckets[c]`` is the mask of
+    unvisited vertices with ``c`` visited neighbours, so a visit takes the
+    lowest set bit of the highest non-empty bucket and then moves the
+    vertex's unvisited neighbours up one bucket with one AND/XOR per bucket
+    they occupy, from the top bucket down.
     """
     rows = graph.dense_rows()
     assert rows is not None, "dense_mcs requires a live DenseGraph"
@@ -323,37 +330,37 @@ def dense_mcs(graph: DenseGraph, start: Optional[Vertex] = None) -> List[Vertex]
         return []
     if start is not None and start not in graph:
         raise GraphError(f"unknown start vertex {start!r}")
-    # Priority (count desc, tie asc) packed into one int:
-    # key = (n - count) * (n + 1) + (tie + 1), tie == bit index == insertion
-    # order.  The reference's optional (count 0, tie -1) start seed packs
-    # collision-free as tie+1 == 0; a min-heap of these ints pops exactly
-    # what the reference's (-count, tie, vertex) tuple heap pops.
-    width = n + 1
-    heap: List[int] = []
-    start_bit: Optional[int] = None
-    if start is not None:
-        start_bit = graph.index_of(start)
-        heap.append(n * width)
-    for v in range(n):
-        heap.append(n * width + v + 1)
-    heapq.heapify(heap)
-    counts = [0] * n
     unvisited = (1 << n) - 1
+    buckets = [unvisited]
+    top = 0
+    first = None if start is None else graph.index_of(start)
     order_out: List[int] = []
-    while len(order_out) < n:
-        while True:
-            key = heapq.heappop(heap)
-            tie = key % width
-            v = start_bit if tie == 0 else tie - 1  # type: ignore[assignment]
-            count = n - key // width
-            if (unvisited >> v) & 1 and counts[v] == count:
-                break
-        unvisited ^= 1 << v
+    for _ in range(n):
+        if first is None:
+            bucket = buckets[top]
+            v = (bucket & -bucket).bit_length() - 1
+        else:
+            v, first = first, None  # every count is still 0: start is in buckets[0]
+        bit = 1 << v
+        buckets[top] ^= bit
+        unvisited ^= bit
         order_out.append(v)
-        for u in bit_indices(rows[v] & unvisited):
-            c = counts[u] + 1
-            counts[u] = c
-            heapq.heappush(heap, (n - c) * width + u + 1)
+        rising = rows[v] & unvisited
+        if rising:
+            if top + 1 == len(buckets):
+                buckets.append(0)
+            count = top
+            while rising:
+                moved = buckets[count] & rising
+                if moved:
+                    buckets[count] ^= moved
+                    buckets[count + 1] |= moved
+                    rising ^= moved
+                count -= 1
+            if buckets[top + 1]:
+                top += 1
+        while top and not buckets[top]:
+            top -= 1
     order = graph.vertex_order()
     return [order[i] for i in order_out]
 
@@ -361,10 +368,13 @@ def dense_mcs(graph: DenseGraph, start: Optional[Vertex] = None) -> List[Vertex]
 def dense_is_peo(graph: DenseGraph, order: Sequence[Vertex]) -> bool:
     """Perfect-elimination-order check on bitmask rows.
 
-    Replicates :func:`repro.graphs.chordal.is_perfect_elimination_order`
-    (Golumbic's earliest-later-neighbour criterion) with mask arithmetic:
-    the "is every other later neighbour adjacent to the pivot" test becomes
-    one AND-NOT against the pivot's row.
+    Golumbic's earliest-later-neighbour criterion, as in
+    :func:`repro.graphs.chordal.is_perfect_elimination_order`.  The pivot of
+    ``v`` — its later neighbour earliest in ``order`` — is found by binary
+    search over the suffix masks of the order (the largest position whose
+    suffix still holds every later neighbour), and "every other later
+    neighbour is adjacent to the pivot" is one AND-NOT against the pivot's
+    row.  The suffix masks take about ``n²/8`` bytes for the call only.
     """
     rows = graph.dense_rows()
     assert rows is not None, "dense_is_peo requires a live DenseGraph"
@@ -379,22 +389,74 @@ def dense_is_peo(graph: DenseGraph, order: Sequence[Vertex]) -> bool:
         return False
     if len(set(peo_bits)) != n:
         return False
-    position = [0] * n
+    # suffix[p]: the vertices at positions >= p of the order.
+    suffix = [0] * (n + 1)
+    for p in range(n - 1, -1, -1):
+        suffix[p] = suffix[p + 1] | (1 << peo_bits[p])
     for p, v in enumerate(peo_bits):
-        position[v] = p
-    later_of = [0] * n
-    later = 0
-    for v in reversed(peo_bits):
-        later_of[v] = later
-        later |= 1 << v
-    for v in peo_bits:
-        m = rows[v] & later_of[v]
-        if not m:
+        later = rows[v] & suffix[p + 1]
+        if not later:
             continue
-        pivot = min(bit_indices(m), key=position.__getitem__)
-        if (m ^ (1 << pivot)) & ~rows[pivot]:
+        lo, hi = p + 1, n  # later <= suffix[lo]; not later <= suffix[hi]
+        while hi - lo > 1:
+            mid = (lo + hi) >> 1
+            if later & suffix[mid] == later:
+                lo = mid
+            else:
+                hi = mid
+        pivot = peo_bits[lo]
+        if (later ^ (1 << pivot)) & ~rows[pivot]:
             return False
     return True
+
+
+def dense_restricted_coloring(
+    graph: DenseGraph, peo: Sequence[Vertex], members: Container[Vertex]
+) -> Dict[Vertex, int]:
+    """Tree-scan of ``G[members]``: greedy colouring along ``reversed(peo)``.
+
+    One int mask per colour holds the members coloured with it so far; a
+    member takes the lowest colour whose mask misses its row.
+    """
+    rows = graph.dense_rows()
+    index = graph._index
+    assert rows is not None and index is not None, "dense_restricted_coloring requires a live DenseGraph"
+    classes: List[int] = []
+    coloring: Dict[Vertex, int] = {}
+    for v in reversed(peo):
+        if v not in members:
+            continue
+        i = index[v]
+        row = rows[i]
+        for color, mask in enumerate(classes):
+            if not row & mask:
+                classes[color] = mask | (1 << i)
+                break
+        else:
+            color = len(classes)
+            classes.append(1 << i)
+        coloring[v] = color
+    return coloring
+
+
+def dense_restricted_clique_number(
+    graph: DenseGraph, peo: Sequence[Vertex], members: Container[Vertex]
+) -> int:
+    """ω of ``G[members]``: the largest ``1 + |row(v) & later members|``."""
+    rows = graph.dense_rows()
+    index = graph._index
+    assert rows is not None and index is not None, "dense_restricted_clique_number requires a live DenseGraph"
+    later = 0
+    omega = 0
+    for v in reversed(peo):
+        if v not in members:
+            continue
+        i = index[v]
+        size = (rows[i] & later).bit_count() + 1
+        if size > omega:
+            omega = size
+        later |= 1 << i
+    return omega
 
 
 def dense_chordal_clique_masks(

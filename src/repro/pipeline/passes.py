@@ -25,7 +25,7 @@ import abc
 import time
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Type
 
-from repro.alloc.assignment import assign_constrained, assign_registers
+from repro.alloc.assignment import assign_constrained, assign_registers, assign_registers_by_peo
 from repro.alloc.base import Allocator, get_allocator
 from repro.alloc.constraints import auto_constraints
 from repro.alloc.load_store_opt import remove_redundant_reloads
@@ -449,12 +449,16 @@ class AllocatePass(Pass):
 class AssignPass(Pass):
     """Map the allocated variables to concrete registers (coloring).
 
-    On chordal (SSA) graphs the tree-scan coloring always fits, so a failure
-    is an upstream allocator bug and the ``verify`` stage will raise.  On
-    general graphs the greedy coloring is only a heuristic: it may exceed
-    ``R`` even for feasible allocations, in which case the stage records the
-    failure in its stats and leaves ``assignment`` unset instead of aborting
-    the pipeline — verification remains the authority on feasibility.
+    On a chordal problem the stage tree-scans along the problem's own PEO
+    (the order the allocator already used) restricted to the allocated
+    variables — no induced-subgraph copy, no second elimination order.  The
+    tree-scan always fits a correct allocation, so a failure is an upstream
+    allocator bug and the ``verify`` stage will raise.  On general graphs
+    the greedy coloring of the induced subgraph is only a heuristic: it may
+    exceed ``R`` even for feasible allocations, in which case the stage
+    records the failure in its stats and leaves ``assignment`` unset instead
+    of aborting the pipeline — verification remains the authority on
+    feasibility.
     """
 
     name = "assign"
@@ -478,6 +482,14 @@ class AssignPass(Pass):
                     problem.constraints,
                     problem.num_registers,
                     hint=context.result.stats.get("register_layers"),
+                )
+            elif problem.is_chordal:
+                assignment = assign_registers_by_peo(
+                    problem.graph,
+                    problem.peo,
+                    context.result.allocated,
+                    problem.num_registers,
+                    register_names=register_names,
                 )
             else:
                 assignment = assign_registers(
@@ -545,11 +557,16 @@ class LoadStoreOptPass(Pass):
 class VerifyPass(Pass):
     """Validate the allocation (bookkeeping + feasibility, strict).
 
+    On a chordal problem the feasibility verdict takes the clique number of
+    the allocated subgraph from the problem's own PEO restricted to the
+    allocated variables (:func:`repro.alloc.verify.feasibility_by_peo`).
     When the ``assign`` stage produced a concrete assignment, it is also
-    checked against the interference graph *and* the target's register file
-    (register count and names) via
-    :func:`repro.alloc.verify.check_assignment`, and against the machine
-    model (classes, aliasing, pre-colorings, reserved set) via
+    checked edge by edge against the interference graph (one register mask
+    against the rows on a dense graph) *and* against the target's register
+    file (register count and names) via
+    :func:`repro.alloc.verify.check_assignment` — which proves the
+    allocation R-colourable without trusting the PEO — and against the
+    machine model (classes, aliasing, pre-colorings, reserved set) via
     :func:`repro.check.targets.target_diagnostics` — any error-severity
     ``TGT*`` finding raises :class:`InvalidAllocationError`.
     """

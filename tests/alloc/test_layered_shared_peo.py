@@ -171,3 +171,77 @@ def test_shared_cache_carries_across_register_sweep():
     clone = problem.with_registers(8)
     assert clone.peo is peo
     assert clone.derived("marker", lambda: object()) is derived
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count calls of ``module.name`` through every ``repro`` module that
+    imported it by name (so ``from x import f`` call sites count too)."""
+    import sys
+
+    original = getattr(module, name)
+    calls = {"n": 0}
+
+    def counting(*args, **kwargs):
+        calls["n"] += 1
+        return original(*args, **kwargs)
+
+    for module_name, loaded in list(sys.modules.items()):
+        if module_name.split(".")[0] == "repro" and getattr(loaded, name, None) is original:
+            monkeypatch.setattr(loaded, name, counting)
+    return calls
+
+
+def test_register_sweep_certifies_chordality_and_cliques_once(monkeypatch):
+    """36 verified cells of one problem (6 allocators x 6 R) share one MCS,
+    one PEO check and one clique enumeration through the derived cache."""
+    from repro.experiments.figures import CHORDAL_ALLOCATORS, CHORDAL_REGISTER_COUNTS
+    from repro.experiments.runner import run_cells
+    from repro.graphs import chordal, cliques
+
+    problem = build_corpus("eembc", seed=2013, scale=0.2).problems[0]
+    mcs = _count_calls(monkeypatch, chordal, "maximum_cardinality_search")
+    peo_checks = _count_calls(monkeypatch, chordal, "is_perfect_elimination_order")
+    enumerations = _count_calls(monkeypatch, cliques, "maximal_cliques_chordal")
+    cells = [(r, name) for r in CHORDAL_REGISTER_COUNTS for name in CHORDAL_ALLOCATORS]
+    assert len(cells) == 36
+    records = run_cells(problem, cells, verify=True)
+    assert len(records) == 36
+    assert (mcs["n"], peo_checks["n"], enumerations["n"]) == (1, 1, 1)
+
+
+def test_pipeline_runs_one_mcs_and_never_materialises_sets(monkeypatch):
+    """Acceptance: a dense NL pipeline run computes ``problem.peo`` once and
+    assigns and verifies by restricting it — no second MCS, no subgraph copy,
+    no adjacency sets built from the bitmask rows."""
+    from repro.graphs import chordal
+    from repro.graphs.dense import DenseGraph
+    from repro.pipeline import Pipeline
+    from repro.workloads.programs import GeneratorProfile, generate_function
+
+    profile = GeneratorProfile(statements=240, accumulators=20, loop_depth=4)
+    function = generate_function("count240", profile, rng=random.Random(240))
+    mcs = _count_calls(monkeypatch, chordal, "maximum_cardinality_search")
+    calls = {"subgraph": 0, "materialize": 0}
+    for cls in (Graph, DenseGraph):
+        original_subgraph = cls.subgraph
+
+        def counting_subgraph(self, keep, _original=original_subgraph):
+            calls["subgraph"] += 1
+            return _original(self, keep)
+
+        monkeypatch.setattr(cls, "subgraph", counting_subgraph)
+    original_materialize = DenseGraph._materialize
+
+    def counting_materialize(self):
+        calls["materialize"] += 1
+        return original_materialize(self)
+
+    monkeypatch.setattr(DenseGraph, "_materialize", counting_materialize)
+
+    context = Pipeline.from_spec("NL", target="st231", registers=8).run(function)
+    assert isinstance(context.graph, DenseGraph)
+    assert context.problem.max_pressure > 8  # real spilling work
+    assert context.stage_stats["assign"]["assigned"] is True
+    assert context.stage_stats["verify"]["assignment_checked"] is True
+    assert mcs["n"] == 1
+    assert calls == {"subgraph": 0, "materialize": 0}

@@ -28,8 +28,8 @@ def test_problem_with_registers_shares_cached_structures(figure4_graph):
     _ = problem.cliques, problem.is_chordal, problem.peo
     clone = problem.with_registers(8)
     assert clone.num_registers == 8
-    assert clone._cliques is problem._cliques
-    assert clone._peo is problem._peo
+    assert clone.cliques is problem.cliques
+    assert clone.peo is problem.peo
     assert not clone.needs_spilling()
 
 
