@@ -13,14 +13,17 @@ condition, so this is the true optimum; on general graphs it is the standard
 clique relaxation (a lower bound on the spill cost), which is how the
 normalization in Figures 14–15 is defined.
 
-The backend is ``scipy.optimize.milp`` (HiGHS).  When scipy is missing the
-caller should use :mod:`repro.alloc.optimal_bb` instead — see
-:mod:`repro.alloc.optimal` for the dispatching allocator.
+The backend is ``scipy.optimize.milp`` (HiGHS), imported with numpy on the
+first solve rather than with this module: they take most of a cold
+``import repro``.  When scipy is missing the caller should use
+:mod:`repro.alloc.optimal_bb` instead — see :mod:`repro.alloc.optimal` for
+the dispatching allocator.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Set, Tuple
+import functools
+from typing import Any, Optional, Sequence, Set, Tuple
 
 from repro.alloc.base import Allocator, register_allocator
 from repro.alloc.problem import AllocationProblem
@@ -29,18 +32,21 @@ from repro.errors import AllocationError, SolverUnavailableError
 from repro.graphs.cliques import Clique
 from repro.graphs.graph import Graph, Vertex
 
-try:  # pragma: no cover - import guard exercised only without scipy
-    import numpy as _np
-    from scipy.optimize import Bounds, LinearConstraint, milp
 
-    _HAVE_SCIPY = True
-except ImportError:  # pragma: no cover
-    _HAVE_SCIPY = False
+@functools.lru_cache(maxsize=None)
+def _milp_backend() -> Optional[Tuple[Any, Any]]:
+    """``(numpy, scipy.optimize)``, imported once on first use; ``None`` without scipy."""
+    try:
+        import numpy
+        import scipy.optimize
+    except ImportError:  # pragma: no cover - exercised only without scipy
+        return None
+    return numpy, scipy.optimize
 
 
 def scipy_available() -> bool:
-    """Whether the scipy MILP backend can be used."""
-    return _HAVE_SCIPY
+    """Whether the scipy MILP backend can be used (imports it on first call)."""
+    return _milp_backend() is not None
 
 
 def solve_ilp(
@@ -49,8 +55,10 @@ def solve_ilp(
     cliques: Sequence[Clique] | None = None,
 ) -> Tuple[Set[Vertex], float]:
     """Return ``(allocated, allocated_weight)`` from the MILP optimum."""
-    if not _HAVE_SCIPY:
+    backend = _milp_backend()
+    if backend is None:
         raise SolverUnavailableError("scipy is required for the ILP optimal allocator")
+    np, optimize = backend
     vertices = graph.vertices()
     if not vertices:
         return set(), 0.0
@@ -62,7 +70,7 @@ def solve_ilp(
         cliques = maximal_cliques(graph)
 
     index = {v: i for i, v in enumerate(vertices)}
-    weights = _np.array([graph.weight(v) for v in vertices], dtype=float)
+    weights = np.array([graph.weight(v) for v in vertices], dtype=float)
 
     # milp minimizes; we maximize allocated weight.
     objective = -weights
@@ -70,19 +78,19 @@ def solve_ilp(
     constraints = []
     binding = [c for c in cliques if len(c) > num_registers]
     if binding:
-        matrix = _np.zeros((len(binding), len(vertices)))
+        matrix = np.zeros((len(binding), len(vertices)))
         for row, clique in enumerate(binding):
             for vertex in clique:
                 matrix[row, index[vertex]] = 1.0
         constraints.append(
-            LinearConstraint(matrix, lb=-_np.inf, ub=float(num_registers))
+            optimize.LinearConstraint(matrix, lb=-np.inf, ub=float(num_registers))
         )
 
-    result = milp(
+    result = optimize.milp(
         c=objective,
         constraints=constraints,
-        integrality=_np.ones(len(vertices)),
-        bounds=Bounds(lb=0.0, ub=1.0),
+        integrality=np.ones(len(vertices)),
+        bounds=optimize.Bounds(lb=0.0, ub=1.0),
     )
     if not result.success:
         raise AllocationError(f"MILP solver failed: {result.message}")

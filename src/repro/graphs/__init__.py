@@ -21,7 +21,8 @@ provides:
   subgraph read off a PEO of the whole graph (:mod:`repro.graphs.coloring`);
 * random graph generators used by the synthetic workloads
   (:mod:`repro.graphs.generators`);
-* JSON (de)serialization of weighted graphs (:mod:`repro.graphs.io`).
+* JSON (de)serialization of weighted graphs and their canonical content
+  digest, the store's cache key (:mod:`repro.graphs.io`).
 """
 
 from repro.graphs.graph import Graph

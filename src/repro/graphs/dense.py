@@ -36,7 +36,7 @@ from __future__ import annotations
 from typing import Container, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import GraphError
-from repro.graphs.graph import Graph, Vertex
+from repro.graphs.graph import Graph, Vertex, checked_weight
 
 #: Bit-extraction chunk width.  Extraction jumps to the lowest set bit,
 #: word-aligns, and peels one ``_CHUNK``-bit window at a time, so sparse
@@ -102,9 +102,7 @@ class DenseGraph(Graph):
             raise GraphError("duplicate vertices in dense graph order")
         g._rows = list(rows)
         for v, w in zip(g._order, weights):
-            if w < 0:
-                raise GraphError(f"vertex {v!r} has negative weight {w}")
-            g._weights[v] = float(w)
+            g._weights[v] = checked_weight(v, w)
         g._mutations = 1
         return g
 
@@ -268,9 +266,7 @@ class DenseGraph(Graph):
     def add_vertex(self, v: Vertex, weight: float = 1.0) -> None:
         if self._index is not None and v in self._index:
             # Weight-only update: rows stay valid, Graph handles the rest.
-            if weight < 0:
-                raise GraphError(f"vertex {v!r} has negative weight {weight}")
-            self._weights[v] = float(weight)
+            self._weights[v] = checked_weight(v, weight)
             self._mutations += 1
             return
         if self._rows is not None:

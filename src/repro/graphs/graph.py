@@ -17,6 +17,20 @@ from repro.errors import GraphError
 Vertex = Hashable
 
 
+def checked_weight(v: Vertex, weight: float) -> float:
+    """``weight`` as a float, or :class:`GraphError` unless it is a valid spill cost.
+
+    Spill costs are access frequencies: negative weights are rejected, and so
+    is NaN, which compares false with everything and so passes ``weight < 0``.
+    Infinite weights stay valid.
+    """
+    if weight < 0:
+        raise GraphError(f"vertex {v!r} has negative weight {weight}")
+    if weight != weight:
+        raise GraphError(f"vertex {v!r} has NaN weight")
+    return float(weight)
+
+
 class Graph:
     """An undirected graph with non-negative vertex weights.
 
@@ -60,13 +74,12 @@ class Graph:
         """Add vertex ``v`` with the given spill-cost ``weight``.
 
         Adding an existing vertex updates its weight but keeps its edges.
-        Negative weights are rejected: spill costs are access frequencies.
+        Negative and NaN weights are rejected (see :func:`checked_weight`).
         """
-        if weight < 0:
-            raise GraphError(f"vertex {v!r} has negative weight {weight}")
+        weight = checked_weight(v, weight)
         if v not in self._adj:
             self._adj[v] = set()
-        self._weights[v] = float(weight)
+        self._weights[v] = weight
         self._mutations += 1
 
     def add_edge(self, u: Vertex, v: Vertex) -> None:
@@ -103,9 +116,7 @@ class Graph:
         """Update the weight of an existing vertex."""
         if v not in self._weights:
             raise GraphError(f"unknown vertex {v!r}")
-        if weight < 0:
-            raise GraphError(f"vertex {v!r} has negative weight {weight}")
-        self._weights[v] = float(weight)
+        self._weights[v] = checked_weight(v, weight)
         self._mutations += 1
 
     # ------------------------------------------------------------------ #

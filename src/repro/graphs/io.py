@@ -18,11 +18,13 @@ from __future__ import annotations
 import gzip
 import hashlib
 import json
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Dict, IO, Union
+from typing import Any, Dict, IO, Iterator, List, Union
 
 from repro.errors import GraphError
-from repro.graphs.graph import Graph
+from repro.graphs.dense import bit_indices, dense_rows_of
+from repro.graphs.graph import Graph, Vertex
 
 FORMAT_VERSION = 1
 
@@ -72,11 +74,59 @@ def canonical_graph_payload(graph: Graph) -> Dict[str, Any]:
 
 
 def graph_digest(graph: Graph) -> str:
-    """SHA-256 hex digest of the canonical sorted-adjacency representation."""
-    payload = json.dumps(
-        canonical_graph_payload(graph), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    """SHA-256 hex digest of the canonical sorted-adjacency representation.
+
+    The hashed bytes are exactly ``json.dumps(canonical_graph_payload(graph),
+    sort_keys=True, separators=(",", ":"))``, streamed without building the
+    payload: each name is stringified and JSON-quoted once, the vertices are
+    ranked by name once, and the edges are hashed row by row in rank order,
+    each row listing a vertex's higher-ranked neighbours.  Vertices that
+    share a string form (``1`` and ``"1"``) would break that order, so such
+    a graph hashes the materialised payload instead.
+    """
+    vertices = graph.vertices()
+    names = [str(v) for v in vertices]
+    if len(set(names)) < len(names):
+        payload = json.dumps(canonical_graph_payload(graph), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    by_rank = sorted(range(len(names)), key=names.__getitem__)
+    rank = [0] * len(names)
+    for r, i in enumerate(by_rank):
+        rank[i] = r
+    quoted = [encode_basestring_ascii(names[i]) for i in by_rank]
+
+    hasher = hashlib.sha256(b'{"edges":[')
+    separator = ""
+    for r, higher in enumerate(_higher_ranked_neighbours(graph, vertices, by_rank, rank)):
+        if higher:  # the edges [a,b],[a,c],... of vertex a, JSON-encoded
+            head = "[" + quoted[r] + ","
+            row = head + ("]," + head).join(map(quoted.__getitem__, higher)) + "]"
+            hasher.update((separator + row).encode())
+            separator = ","
+    vertex_list = [(names[i], float(graph.weight(vertices[i]))) for i in by_rank]
+    hasher.update(b'],"vertices":' + json.dumps(vertex_list, separators=(",", ":")).encode() + b"}")
+    return hasher.hexdigest()
+
+
+def _higher_ranked_neighbours(
+    graph: Graph, vertices: List[Vertex], by_rank: List[int], rank: List[int]
+) -> Iterator[List[int]]:
+    """For each vertex in rank order, the ranks of its higher-ranked neighbours, ascending.
+
+    A live :class:`~repro.graphs.dense.DenseGraph` reads them off its
+    adjacency rows, masked by the vertices not yet emitted; any other graph
+    filters its adjacency sets.
+    """
+    rows = dense_rows_of(graph)
+    if rows is not None:
+        pending = (1 << len(rows)) - 1
+        for i in by_rank:
+            pending ^= 1 << i
+            yield sorted([rank[j] for j in bit_indices(rows[i] & pending)])
+    else:
+        rank_of = dict(zip(vertices, rank))
+        for r, i in enumerate(by_rank):
+            yield sorted([s for s in map(rank_of.__getitem__, graph.neighbors(vertices[i])) if s > r])
 
 
 # ---------------------------------------------------------------------- #

@@ -1,6 +1,10 @@
 """Tests for the exact optimal allocators (ILP and branch-and-bound)."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -75,6 +79,15 @@ def test_bb_allocator_class(figure4_graph):
 def test_scipy_backend_is_available():
     # The experiment harness relies on it; this environment ships scipy.
     assert scipy_available()
+
+
+def test_cli_import_leaves_scipy_and_numpy_unloaded():
+    """scipy and numpy load on the first MILP solve, not with the package."""
+    source = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, repro.cli; print(sorted({'scipy', 'numpy'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_ilp_matches_branch_and_bound(figure4_graph, figure7_graph, figure2_graph):

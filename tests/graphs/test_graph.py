@@ -3,7 +3,9 @@
 import pytest
 
 from repro.errors import GraphError
+from repro.graphs.dense import DenseGraph
 from repro.graphs.graph import Graph
+from repro.graphs.io import graph_from_dict, graph_to_dict
 
 
 def test_add_vertex_and_weight():
@@ -239,3 +241,34 @@ def test_induced_view_total_weight_and_clique():
     assert view.total_weight(["a", "c"]) == 4
     assert view.is_clique(["a", "b"])
     assert not view.is_clique(["a", "c"])
+
+
+def test_nan_weight_rejected_everywhere_a_weight_enters():
+    nan = float("nan")
+    g = Graph()
+    with pytest.raises(GraphError, match="NaN weight"):
+        g.add_vertex("a", weight=nan)
+    g.add_vertex("a", weight=1.0)
+    with pytest.raises(GraphError, match="NaN weight"):
+        g.set_weight("a", nan)
+    with pytest.raises(GraphError, match="NaN weight"):
+        g.add_vertex("a", weight=nan)
+    assert g.weight("a") == 1.0
+    with pytest.raises(GraphError, match="NaN weight"):
+        DenseGraph.from_rows(["a"], [0], [nan])
+    dense = DenseGraph.from_rows(["a"], [0], [1.0])
+    with pytest.raises(GraphError, match="NaN weight"):
+        dense.add_vertex("a", nan)  # the weight-only update keeps the rows
+    with pytest.raises(GraphError, match="NaN weight"):
+        dense.set_weight("a", nan)
+    assert dense.dense_rows() == [0] and dense.weight("a") == 1.0
+    document = graph_to_dict(g)
+    document["vertices"][0]["weight"] = nan
+    with pytest.raises(GraphError, match="NaN weight"):
+        graph_from_dict(document)
+
+
+def test_infinite_weight_stays_accepted():
+    g = Graph()
+    g.add_vertex("a", weight=float("inf"))
+    assert g.weight("a") == float("inf")

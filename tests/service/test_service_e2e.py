@@ -154,3 +154,19 @@ def test_failed_job_reports_error_and_allows_resubmit(tmp_path):
         with pytest.raises(ServiceError):
             client.job("no-such-job")
         assert client.jobs() == []
+
+
+def test_nan_weight_graph_is_http_400_and_queues_nothing(tmp_path):
+    """``json.loads`` accepts a ``NaN`` literal; the graph check must not."""
+    from repro.errors import ServiceError
+    from repro.graphs.io import graph_to_dict
+    from tests.conftest import build_paper_figure4_graph
+
+    document = graph_to_dict(build_paper_figure4_graph(), name="fig4")
+    document["vertices"][0]["weight"] = float("nan")
+    with AllocationService(tmp_path / "c.sqlite", tmp_path / "q.sqlite", workers=1) as service:
+        client = ServiceClient(service.url)
+        with pytest.raises(ServiceError, match="HTTP 400.*NaN weight"):
+            client.submit({"graph": document, "registers": 2, "allocator": ALLOCATOR})
+        assert client.jobs() == []
+        assert len(service.queue) == 0
