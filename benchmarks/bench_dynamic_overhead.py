@@ -13,7 +13,7 @@ import pytest
 from repro.alloc import get_allocator
 from repro.analysis.profile import default_argument_sets, measure_spill_overhead
 from repro.analysis.ssa_construction import construct_ssa
-from repro.workloads.extraction import extract_chordal_problem
+from repro.pipeline import Pipeline
 from repro.workloads.programs import GeneratorProfile, generate_function
 
 ALLOCATORS = ("GC", "NL", "BFPL", "Optimal")
@@ -25,7 +25,8 @@ def kernel():
     profile = GeneratorProfile(statements=40, accumulators=12, loop_depth=2)
     function = generate_function("overhead_kernel", profile, rng=77)
     ssa = construct_ssa(function)
-    problem = extract_chordal_problem(function, "st231").with_registers(REGISTERS)
+    front_end = Pipeline.from_spec(target="st231", stages="liveness,interference,extract")
+    problem = front_end.run(function).problem.with_registers(REGISTERS)
     arguments = default_argument_sets(ssa, runs=2, seed=1, low=2, high=24)
     return ssa, problem, arguments
 

@@ -15,7 +15,7 @@ import sys
 
 from repro.alloc import get_allocator
 from repro.targets import ARMV7_CORTEX_A8, ST231
-from repro.workloads.extraction import extract_chordal_problem
+from repro.pipeline import Pipeline
 from repro.workloads.programs import GeneratorProfile, generate_function
 
 ALLOCATORS = ("GC", "NL", "FPL", "BL", "BFPL", "Optimal")
@@ -27,7 +27,8 @@ def run_study(seed: int) -> None:
     kernel = generate_function("fir_like_kernel", profile, rng=seed)
 
     for target in (ST231, ARMV7_CORTEX_A8):
-        problem_full = extract_chordal_problem(kernel, target)
+        front_end = Pipeline.from_spec(target=target, stages="liveness,interference,extract")
+        problem_full = front_end.run(kernel).problem
         print(f"\n### target {target.name}: |V|={len(problem_full.graph)} "
               f"|E|={problem_full.graph.num_edges()} MaxLive={problem_full.max_pressure}")
 

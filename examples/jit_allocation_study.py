@@ -15,7 +15,7 @@ Run with::
 import sys
 
 from repro.alloc import get_allocator
-from repro.workloads.extraction import extract_general_problem
+from repro.pipeline import Pipeline
 from repro.workloads.programs import GeneratorProfile, generate_function
 
 ALLOCATORS = ("LS", "BLS", "GC", "LH", "Optimal")
@@ -28,10 +28,13 @@ def main() -> None:
     profile = GeneratorProfile(
         statements=60, accumulators=10, loop_depth=2, reuse_probability=0.55
     )
+    front_end = Pipeline.from_spec(
+        target="jikesrvm-ia32", ssa=False, stages="liveness,interference,extract"
+    )
     problems = []
     for index in range(METHODS):
         method = generate_function(f"jit_method_{index}", profile, rng=seed + index)
-        problems.append(extract_general_problem(method, "jikesrvm-ia32"))
+        problems.append(front_end.run(method).problem)
 
     chordal_count = sum(problem.is_chordal for problem in problems)
     print(f"generated {len(problems)} JIT methods "

@@ -21,7 +21,7 @@ from repro.alloc.spill_code import insert_spill_code
 from repro.analysis.ssa_construction import construct_ssa
 from repro.ir.builder import FunctionBuilder
 from repro.ir.printer import print_function
-from repro.workloads.extraction import extract_chordal_problem
+from repro.pipeline import Pipeline
 
 
 def build_dot_product() -> "FunctionBuilder":
@@ -72,9 +72,11 @@ def main() -> None:
     print("\n=== after SSA construction ===")
     print(print_function(ssa))
 
-    # Extract the weighted interference graph for the ST231 target, then
-    # pretend we only have 4 allocatable registers to force some spilling.
-    problem = extract_chordal_problem(function, "st231").with_registers(4)
+    # Extract the weighted interference graph for the ST231 target with the
+    # pipeline's front-end stages, then pretend we only have 4 allocatable
+    # registers to force some spilling.
+    front_end = Pipeline.from_spec(target="st231", stages="liveness,interference,extract")
+    problem = front_end.run(function).problem.with_registers(4)
     print(
         f"\ninterference graph: |V|={len(problem.graph)} |E|={problem.graph.num_edges()} "
         f"chordal={problem.is_chordal} MaxLive={problem.max_pressure}"

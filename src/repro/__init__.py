@@ -16,11 +16,16 @@ Quick start
 >>> context.spill_cost >= 0 and context.report.feasible
 True
 
-The loose helpers remain for ad-hoc use (``extract_chordal_problem`` +
-``get_allocator(...).allocate`` + ``insert_optimized_spill_code``), but the
-:mod:`repro.pipeline` engine is the first-class API: declarative specs,
+The :mod:`repro.pipeline` engine is the one front end: declarative specs,
 batch runs with a process pool, and allocate-stage caching through the
-experiment store.
+experiment store.  For an allocation problem alone, run the front-end stages
+and hand the problem to any allocator:
+
+>>> from repro.alloc import get_allocator
+>>> front_end = Pipeline.from_spec(target="st231", stages="liveness,interference,extract")
+>>> problem = front_end.run(function).problem.with_registers(8)
+>>> get_allocator("BFPL").allocate(problem).spill_cost >= 0
+True
 """
 
 from repro.alloc import (

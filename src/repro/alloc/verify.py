@@ -14,17 +14,16 @@ mirrors the structure of the allocators:
   attempt and reports which one decided.
 
 ``check_allocation`` additionally validates the bookkeeping of a result
-(partition of the variables, correctly summed spill cost), and
-``check_assignment`` validates a *concrete* register assignment against both
-the interference graph and the target's register file — the register count
-and the register names the target actually provides (ST231 / ARMv7 / JVM),
-not just interference-freedom.
+(partition of the variables, correctly summed spill cost).  A *concrete*
+register assignment is checked by :func:`repro.check.assignment_diagnostics`
+(codes ``ALLOC005``–``ALLOC008``), which the pipeline's ``verify`` stage
+reads directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from repro.alloc.problem import AllocationProblem
 from repro.alloc.result import AllocationResult
@@ -38,7 +37,6 @@ from repro.graphs.coloring import (
     restricted_clique_number,
 )
 from repro.graphs.graph import Graph, Vertex
-from repro.targets.machine import TargetMachine
 
 
 @dataclass(frozen=True)
@@ -106,37 +104,6 @@ def _chordal_report(needed: int, num_registers: int) -> FeasibilityReport:
         True,
         f"chordal induced sub-graph needs {needed} colors for {num_registers} registers",
     )
-
-
-def check_assignment(
-    problem: AllocationProblem,
-    result: AllocationResult,
-    assignment: Dict[Vertex, str],
-    target: Optional[TargetMachine] = None,
-) -> None:
-    """Validate a concrete register assignment against problem and target.
-
-    .. deprecated:: this is a shim over
-       :func:`repro.check.assignment_diagnostics` (codes
-       ``ALLOC005``–``ALLOC008``), kept for its historical
-       raise-on-first-violation contract; new code should consume the typed
-       diagnostics directly.
-
-    Raises :class:`InvalidAllocationError` when:
-
-    * an allocated variable is missing from the assignment, or a spilled
-      variable appears in it;
-    * two interfering variables share a register;
-    * the assignment uses more distinct registers than ``R``;
-    * with a ``target``, a register name is outside the target's register
-      file (the names :meth:`TargetMachine.register_names` provides for the
-      problem's register count).
-    """
-    from repro.check.allocation import assignment_diagnostics
-
-    for diagnostic in assignment_diagnostics(problem, result, assignment, target=target):
-        if diagnostic.is_error:
-            raise InvalidAllocationError(diagnostic.message)
 
 
 def check_allocation(problem: AllocationProblem, result: AllocationResult, strict: bool = True) -> FeasibilityReport:

@@ -4,10 +4,10 @@
 which ``(instance, register count, allocator)`` cells are missing from the
 store — and delegates *how* to an :class:`ExecutionBackend`:
 
-* :class:`LocalPoolBackend` — the historical in-process path: serial or a
-  :class:`~concurrent.futures.ProcessPoolExecutor` shard pool.  Its records
-  are byte-identical to what ``run_experiment`` produced before the seam
-  existed (pinned by the backend-parity tests).
+* :class:`LocalPoolBackend` — the in-process path: serial, or one
+  :class:`~concurrent.futures.ProcessPoolExecutor` task per instance.  Its
+  records are byte-identical to what ``run_experiment`` produced before the
+  seam existed (pinned by the backend-parity tests).
 * :class:`ServiceBackend` — plans the missing cells into batched
   ``POST /v1/batches`` submissions against one or more running allocation
   services (round-robin across endpoints) and polls the results back into
@@ -18,9 +18,10 @@ store — and delegates *how* to an :class:`ExecutionBackend`:
 The backend contract is intentionally narrow: ``run_plan(plan, config,
 emit)`` receives the missing-cell plan and calls ``emit(index, pairs)`` as
 results become available; the runner owns keying, caching, persistence and
-manifests.  ``run_storeless(selected, config)`` serves the store-less
-``run_experiment`` path and only the local backend supports it (a service
-sweep without a store would have nowhere durable to put results).
+manifests.  A sweep without a store hands over a plan in which every cell is
+missing; on a backend that sets ``requires_store`` (the service backend: its
+results would have nowhere durable to land) the runner refuses such a sweep
+before any submission.
 
 Telemetry: the service backend wraps submissions in ``backend:submit``
 spans and polls in ``backend:poll`` spans, and counts ``sweep.submitted``,
@@ -54,16 +55,8 @@ class ExecutionBackend(abc.ABC):
     #: backend identifier recorded in run manifests (``config["backend"]``).
     name = "abstract"
 
-    def run_storeless(
-        self,
-        selected: List[Tuple[int, AllocationProblem, str]],
-        config: "runner.ExperimentConfig",
-    ) -> List["runner.InstanceRecord"]:
-        """Run every cell of ``selected`` without a store (local only)."""
-        raise ServiceError(
-            f"the {self.name!r} execution backend requires a store: "
-            "pass store=... to run_experiment so results have somewhere durable to land"
-        )
+    #: whether sweeps on this backend need a store to persist results into.
+    requires_store = False
 
     @abc.abstractmethod
     def run_plan(
@@ -76,86 +69,20 @@ class ExecutionBackend(abc.ABC):
 
 
 class LocalPoolBackend(ExecutionBackend):
-    """The in-process backend: serial, or a process-pool shard sweep.
-
-    ``jobs=None`` (the default) follows ``config.jobs``; an explicit value
-    overrides it.  Both paths produce records byte-identical to the
-    pre-seam ``run_experiment`` — the code here *is* that code, moved.
+    """The in-process backend: serial, or ``config.jobs`` worker processes
+    with one task per planned instance.  Both produce the same records,
+    modulo the measured ``runtime_seconds``.
     """
 
     name = "local"
 
-    def __init__(self, jobs: Optional[int] = None) -> None:
-        if jobs is not None and jobs < 1:
-            raise ValueError(f"LocalPoolBackend jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
-
-    def _jobs(self, config: "runner.ExperimentConfig") -> int:
-        return config.jobs if self.jobs is None else self.jobs
-
-    # -- store-less path ------------------------------------------------ #
-    def run_storeless(
-        self,
-        selected: List[Tuple[int, AllocationProblem, str]],
-        config: "runner.ExperimentConfig",
-    ) -> List["runner.InstanceRecord"]:
-        jobs = self._jobs(config)
-        if jobs <= 1 or len(selected) <= 1:
-            records: List["runner.InstanceRecord"] = []
-            for _, problem, program in selected:
-                records.extend(
-                    runner.run_instance(
-                        problem,
-                        config.allocators,
-                        config.register_counts,
-                        program=program,
-                        verify=config.verify,
-                    )
-                )
-            return records
-
-        workers = min(jobs, len(selected))
-        shards: List[List[Tuple[int, AllocationProblem, str]]] = [[] for _ in range(workers)]
-        for position, item in enumerate(selected):
-            shards[position % workers].append(item)
-
-        tracer = current_tracer()
-        indexed: List[Tuple[int, List["runner.InstanceRecord"]]] = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    runner._run_instance_shard,
-                    shard,
-                    list(config.allocators),
-                    list(config.register_counts),
-                    config.verify,
-                    tracer.enabled,
-                )
-                for shard in shards
-            ]
-            # Futures are iterated in submission (shard) order, so worker
-            # telemetry merges deterministically for a given sharding.
-            for shard_index, future in enumerate(futures):
-                pairs, snapshot = future.result()
-                indexed.extend(pairs)
-                if snapshot is not None:
-                    tracer.merge(snapshot, label=f"worker-{shard_index}")
-
-        indexed.sort(key=lambda pair: pair[0])
-        records = []
-        for _, instance_records in indexed:
-            records.extend(instance_records)
-        return records
-
-    # -- store-backed path ---------------------------------------------- #
     def run_plan(
         self,
         plan: List[PlanItem],
         config: "runner.ExperimentConfig",
         emit: EmitFn,
     ) -> None:
-        jobs = self._jobs(config)
-        if jobs <= 1 or len(plan) <= 1:
+        if config.jobs <= 1 or len(plan) <= 1:
             for index, problem, program, missing in plan:
 
                 def persist(
@@ -173,7 +100,7 @@ class LocalPoolBackend(ExecutionBackend):
             return
 
         tracer = current_tracer()
-        workers = min(jobs, len(plan))
+        workers = min(config.jobs, len(plan))
         snapshots: Dict[int, TraceSnapshot] = {}
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
@@ -213,6 +140,7 @@ class ServiceBackend(ExecutionBackend):
     """
 
     name = "service"
+    requires_store = True
 
     def __init__(
         self,

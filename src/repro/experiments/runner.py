@@ -1,11 +1,13 @@
 """Run allocators over corpora of allocation problems.
 
 Sweeps are embarrassingly parallel across instances: every (instance,
-register count, allocator) cell is independent.  ``ExperimentConfig.jobs``
-enables a process-pool sweep that shards the corpus over workers while
-keeping the returned record list byte-for-byte identical to the serial order
-(records are reassembled by instance index, and within one instance the
-register-count × allocator nesting is preserved).
+register count, allocator) cell is independent.  A sweep is a *plan* — per
+instance, the cells still missing — that an execution backend
+(:mod:`repro.experiments.backends`) runs; without a store every cell is
+missing.  ``ExperimentConfig.jobs`` runs the plan's instances on a process
+pool while keeping the returned record list byte-for-byte identical to the
+serial order (records are reassembled in instance, register-count ×
+allocator order).
 
 Passing an :class:`~repro.store.ExperimentStore` to :func:`run_experiment`
 makes the sweep *cache-aware and resumable*: cells already present in the
@@ -23,7 +25,6 @@ from __future__ import annotations
 import dataclasses
 import time
 import uuid
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -31,6 +32,7 @@ from repro.alloc import get_allocator
 from repro.alloc.base import Allocator
 from repro.alloc.problem import AllocationProblem
 from repro.alloc.result import AllocationResult
+from repro.errors import ServiceError
 from repro.pipeline.passes import run_allocator
 from repro.store.base import ExperimentStore, RunManifest, current_git_rev, utc_now_iso
 from repro.store.keys import CellKey, problem_digest
@@ -140,8 +142,8 @@ def run_cells(
     (:func:`repro.pipeline.passes.run_allocator`), so the runner and the
     :class:`~repro.pipeline.engine.Pipeline` engine produce interchangeable
     results and store cells.  ``on_record`` is invoked after each cell
-    completes, which the store-backed serial sweep uses to flush
-    cell-by-cell.
+    completes, which the serial sweep uses to hand records on (and, with a
+    store, to flush them) cell by cell.
     """
     records: List[InstanceRecord] = []
     allocators: Dict[str, Allocator] = {}
@@ -176,43 +178,6 @@ def run_cells(
     return records
 
 
-def run_instance(
-    problem: AllocationProblem,
-    allocator_names: Sequence[str],
-    register_counts: Sequence[int],
-    program: str = "",
-    verify: bool = True,
-) -> List[InstanceRecord]:
-    """Run every allocator at every register count on one problem."""
-    cells = [(r, name) for r in register_counts for name in allocator_names]
-    return run_cells(problem, cells, program=program, verify=verify)
-
-
-def _run_instance_shard(
-    shard: Sequence[Tuple[int, AllocationProblem, str]],
-    allocator_names: Sequence[str],
-    register_counts: Sequence[int],
-    verify: bool,
-    traced: bool = False,
-) -> Tuple[List[Tuple[int, List[InstanceRecord]]], Optional[TraceSnapshot]]:
-    """Worker entry point: run one shard of (index, problem, program) triples.
-
-    Module-level so it pickles for :class:`ProcessPoolExecutor`.  The
-    original corpus index travels with each result so the parent can restore
-    the serial record order deterministically.  When the parent is tracing
-    (``traced``), the worker collects spans/counters into its own tracer and
-    ships the snapshot back for the parent to merge in shard order.
-    """
-    tracer = Tracer() if traced else None
-    out: List[Tuple[int, List[InstanceRecord]]] = []
-    with use_tracer(tracer) if tracer is not None else nullcontext():
-        for index, problem, program in shard:
-            out.append(
-                (index, run_instance(problem, allocator_names, register_counts, program=program, verify=verify))
-            )
-    return out, (tracer.snapshot() if tracer is not None else None)
-
-
 def _run_cells_worker(
     problem: AllocationProblem,
     cells: Sequence[Cell],
@@ -220,7 +185,7 @@ def _run_cells_worker(
     verify: bool,
     traced: bool = False,
 ) -> Tuple[List[InstanceRecord], Optional[TraceSnapshot]]:
-    """Worker entry point of the store-backed parallel sweep (one instance)."""
+    """Worker entry point of the parallel sweep (one instance)."""
     if not traced:
         return run_cells(problem, cells, program=program, verify=verify), None
     tracer = Tracer()
@@ -300,7 +265,23 @@ def run_experiment(
 
     if store is not None:
         return _run_with_store(corpus, config, selected, store, resume, backend)
-    return backend.run_storeless(selected, config)
+    if backend.requires_store:
+        raise ServiceError(
+            f"the {backend.name!r} execution backend requires a store: "
+            "pass store=... to run_experiment so results have somewhere durable to land"
+        )
+    # Without a store every cell is missing: the plan is the whole sweep.
+    full_cells = [(r, name) for r in config.register_counts for name in config.allocators]
+    cell_records: Dict[Tuple[int, Cell], InstanceRecord] = {}
+
+    def emit(index: int, pairs: List[Tuple[Cell, InstanceRecord]]) -> None:
+        for cell, record in pairs:
+            cell_records[(index, cell)] = record
+
+    plan = [(index, problem, program, full_cells) for index, problem, program in selected]
+    if plan:
+        backend.run_plan(plan, config, emit)
+    return [cell_records[(index, cell)] for index, _, _ in selected for cell in full_cells]
 
 
 # ---------------------------------------------------------------------- #
@@ -413,11 +394,7 @@ def _run_with_store(
         selected, config, store, resume, backend, target
     )
     cells_total = len(selected) * len(full_cells)
-
-    records: List[InstanceRecord] = []
-    for index, _problem, _program in selected:
-        for cell in full_cells:
-            records.append(cell_records[(index, cell)])
+    records = [cell_records[(index, cell)] for index, _, _ in selected for cell in full_cells]
 
     if isinstance(corpus, Corpus):
         suite, corpus_target, seed, scale = corpus.suite, corpus.target, corpus.seed, corpus.scale

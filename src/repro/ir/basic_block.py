@@ -53,10 +53,6 @@ class BasicBlock:
         yield from self.phis
         yield from self.instructions
 
-    def non_phi_instructions(self) -> List[Instruction]:
-        """Return the ordinary (non-φ) instructions."""
-        return list(self.instructions)
-
     def __len__(self) -> int:
         return len(self.phis) + len(self.instructions)
 

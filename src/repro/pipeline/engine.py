@@ -21,8 +21,8 @@ every serial run and for SQLite-backed parallel runs; a JSONL-backed
 persists only cells the store does not already hold) — see
 :meth:`Pipeline.run_many`.
 
-Batch runs shard over a :class:`~concurrent.futures.ProcessPoolExecutor`
-exactly like the experiment runner: round-robin shards, results reassembled
+Batch runs shard round-robin over a
+:class:`~concurrent.futures.ProcessPoolExecutor` and reassemble the results
 in input order, so ``jobs`` never changes the output.
 """
 
@@ -104,18 +104,6 @@ class Pipeline:
         config object, or a comma-separated stage chain.
         """
         return cls(PipelineSpec.parse(spec, **overrides), store=store, tracer=tracer)
-
-    @classmethod
-    def from_config(
-        cls,
-        config: Mapping[str, Any],
-        *,
-        store: StoreLike = None,
-        tracer: Optional[Any] = None,
-        **overrides: Any,
-    ) -> "Pipeline":
-        """Build a pipeline from the config-dict/JSON form."""
-        return cls(PipelineSpec.from_config(config, **overrides), store=store, tracer=tracer)
 
     @property
     def stages(self) -> Tuple[str, ...]:

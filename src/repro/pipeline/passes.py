@@ -32,15 +32,12 @@ from repro.alloc.load_store_opt import remove_redundant_reloads
 from repro.alloc.problem import AllocationProblem
 from repro.alloc.result import AllocationResult
 from repro.alloc.spill_code import insert_spill_code
-from repro.alloc.verify import check_allocation, check_assignment
+from repro.alloc.verify import check_allocation
 from repro.analysis.dense import (
     build_interference_graph_dense,
     dense_live_intervals,
     dense_liveness,
 )
-from repro.analysis.interference import build_interference_graph
-from repro.analysis.live_ranges import live_intervals
-from repro.analysis.liveness import liveness
 from repro.analysis.spill_costs import spill_costs
 from repro.analysis.ssa_construction import construct_ssa
 from repro.analysis.ssa_destruction import coalesce_copies, destruct_ssa
@@ -228,10 +225,12 @@ class LivenessPass(Pass):
 
     The SSA (or non-SSA) lowering happens here because liveness is the first
     analysis that needs the lowered function; the pre-lowering input stays
-    available as ``context.function``.  With ``spec.dense`` (the default)
-    liveness runs on the bitset kernel — the produced
-    :class:`~repro.analysis.liveness.LivenessInfo` is identical either way
-    and additionally carries the dense masks for the interference stage.
+    available as ``context.function``.  Non-SSA lowering destructs SSA with
+    φ-web coalescing, then coalesces register copies.  Liveness runs on the
+    bitset kernel (:mod:`repro.analysis.dense`): the produced
+    :class:`~repro.analysis.liveness.LivenessInfo` equals the set-based
+    reference's live-in/live-out sets and carries the dense masks for the
+    interference stage.
     """
 
     name = "liveness"
@@ -244,16 +243,8 @@ class LivenessPass(Pass):
     def run(self, context, spec, store=None):
         start = time.perf_counter()
         ssa = construct_ssa(context.function)
-        if spec.ssa:
-            lowered = ssa
-        else:
-            lowered = destruct_ssa(ssa, coalesce_phi_webs=spec.coalesce_phi_webs)
-            if spec.coalesce_moves:
-                lowered = coalesce_copies(lowered)
-        if spec.dense:
-            info = dense_liveness(lowered).to_info(include_locals=False)
-        else:
-            info = liveness(lowered)
+        lowered = ssa if spec.ssa else coalesce_copies(destruct_ssa(ssa))
+        info = dense_liveness(lowered).to_info(include_locals=False)
         target = context.target
         costs = spill_costs(
             lowered, store_cost=target.store_cost, load_cost=target.load_cost
@@ -263,7 +254,6 @@ class LivenessPass(Pass):
             time.perf_counter() - start,
             stats={
                 "mode": "ssa" if spec.ssa else "non-ssa",
-                "kernel": "dense" if spec.dense else "sets",
                 "blocks": len(lowered),
             },
             lowered=lowered,
@@ -275,10 +265,11 @@ class LivenessPass(Pass):
 class InterferencePass(Pass):
     """Build the weighted interference graph and the live intervals.
 
-    When the liveness stage ran on the dense kernel, the graph is built as
-    :class:`~repro.graphs.dense.DenseGraph` bitmask rows (identical
-    vertices/edges/weights; allocator and digest consumers dispatch on the
-    representation transparently).
+    The graph is built as :class:`~repro.graphs.dense.DenseGraph` bitmask
+    rows (the set-based reference's vertices, edges and weights; allocator
+    and digest consumers dispatch on the representation transparently) from
+    the liveness stage's dense masks.  A context whose liveness carries no
+    masks (one a caller built by hand) has them computed here.
     """
 
     name = "interference"
@@ -290,17 +281,11 @@ class InterferencePass(Pass):
 
     def run(self, context, spec, store=None):
         start = time.perf_counter()
-        dense_info = getattr(context.liveness, "dense", None)
-        if spec.dense and dense_info is not None:
-            graph = build_interference_graph_dense(
-                context.lowered, info=dense_info, weights=context.costs
-            )
-            intervals = dense_live_intervals(context.lowered, info=dense_info)
-        else:
-            graph = build_interference_graph(
-                context.lowered, info=context.liveness, weights=context.costs
-            )
-            intervals = live_intervals(context.lowered, info=context.liveness)
+        dense_info = context.liveness.dense
+        graph = build_interference_graph_dense(
+            context.lowered, info=dense_info, weights=context.costs
+        )
+        intervals = dense_live_intervals(context.lowered, info=dense_info)
         return context.with_stage(
             self.name,
             time.perf_counter() - start,
@@ -564,11 +549,12 @@ class VerifyPass(Pass):
     checked edge by edge against the interference graph (one register mask
     against the rows on a dense graph) *and* against the target's register
     file (register count and names) via
-    :func:`repro.alloc.verify.check_assignment` — which proves the
+    :func:`repro.check.assignment_diagnostics` — which proves the
     allocation R-colourable without trusting the PEO — and against the
     machine model (classes, aliasing, pre-colorings, reserved set) via
-    :func:`repro.check.targets.target_diagnostics` — any error-severity
-    ``TGT*`` finding raises :class:`InvalidAllocationError`.
+    :func:`repro.check.targets.target_diagnostics`.  The first
+    error-severity ``ALLOC*`` or ``TGT*`` finding raises
+    :class:`InvalidAllocationError`.
     """
 
     name = "verify"
@@ -578,6 +564,7 @@ class VerifyPass(Pass):
     def run(self, context, spec, store=None):
         # Lazily imported like the oracle stage: keeps pipeline import time
         # free of the machine-verifier package on check-free runs.
+        from repro.check.allocation import assignment_diagnostics
         from repro.check.targets import target_diagnostics
         from repro.errors import InvalidAllocationError
 
@@ -586,9 +573,11 @@ class VerifyPass(Pass):
         assignment_checked = False
         target_checked = False
         if context.assignment is not None:
-            check_assignment(
+            for diagnostic in assignment_diagnostics(
                 context.problem, context.result, context.assignment, target=context.target
-            )
+            ):
+                if diagnostic.is_error:
+                    raise InvalidAllocationError(diagnostic.message)
             assignment_checked = True
             findings = target_diagnostics(
                 context.problem,

@@ -14,9 +14,9 @@ into it through :meth:`PipelineSpec.parse`:
 * ``PipelineSpec.parse('{"allocator": "NL", "opt": false}')`` — a JSON config,
   and :meth:`PipelineSpec.from_config` for the equivalent dict form.
 
-Unknown stages, allocators, targets and config keys raise
-:class:`~repro.errors.PipelineError` with the available names, which the CLI
-turns into clean exit-1 messages.
+Unknown stages, allocators, targets and config keys, and config values of the
+wrong type, raise :class:`~repro.errors.PipelineError` with the available
+names, which the CLI turns into clean exit-1 messages.
 """
 
 from __future__ import annotations
@@ -33,6 +33,33 @@ from repro.targets import get_target
 from repro.targets.machine import TargetMachine
 
 
+_NULL = type(None)
+
+#: every config key with the value types it accepts and their description.
+#: JSON from ``--pipeline`` reaches the spec unchecked, so the types are
+#: checked here; ``bool`` never passes as a number.
+_FIELD_TYPES: Dict[str, Tuple[Tuple[type, ...], str]] = {
+    "allocator": ((str,), "a string"),
+    "target": ((str, TargetMachine, _NULL), "a target name or null"),
+    "registers": ((int, _NULL), "an integer or null"),
+    "ssa": ((bool,), "true or false"),
+    "opt": ((bool,), "true or false"),
+    "verify": ((bool,), "true or false"),
+    "check": ((str,), "a string"),
+    "constrain": ((int, float, _NULL), "a number or null"),
+    "stages": ((str, list, tuple, _NULL), "a string or a list of strings"),
+}
+
+
+def _accepts(types: Tuple[type, ...], value: Any) -> bool:
+    """Whether ``value`` is one of ``types`` (lists must hold strings)."""
+    if isinstance(value, bool) and bool not in types:
+        return False
+    if isinstance(value, (list, tuple)):
+        return isinstance(value, types) and all(isinstance(item, str) for item in value)
+    return isinstance(value, types)
+
+
 @dataclass(frozen=True)
 class PipelineSpec:
     """Declarative description of one pass pipeline."""
@@ -45,12 +72,6 @@ class PipelineSpec:
     registers: Optional[int] = None
     #: SSA lowering (chordal graphs) vs non-SSA (general graphs).
     ssa: bool = True
-    #: run the front-end analyses on the dense bitset kernel
-    #: (:mod:`repro.analysis.dense`), producing a
-    #: :class:`~repro.graphs.dense.DenseGraph`; ``False`` selects the
-    #: set-based reference kernel.  Results are byte-identical either way —
-    #: this knob exists for the differential oracle and the perf-smoke gate.
-    dense: bool = True
     #: run the ``loadstore_opt`` stage after spill-code insertion.
     opt: bool = True
     #: run the final ``verify`` stage.
@@ -68,9 +89,6 @@ class PipelineSpec:
     #: leaves the problem unconstrained and every digest/store cell
     #: byte-identical to historical runs.
     constrain: Optional[float] = None
-    #: non-SSA lowering knobs (ignored when ``ssa`` is true).
-    coalesce_phi_webs: bool = True
-    coalesce_moves: bool = True
     #: explicit stage chain; ``None`` uses the default chain.  The ``opt``
     #: and ``verify`` toggles filter either chain, so ``--no-opt`` /
     #: ``"verify": false`` are never silently ignored.
@@ -138,29 +156,20 @@ class PipelineSpec:
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
-    _FIELDS = (
-        "allocator",
-        "target",
-        "registers",
-        "ssa",
-        "dense",
-        "opt",
-        "verify",
-        "check",
-        "constrain",
-        "coalesce_phi_webs",
-        "coalesce_moves",
-        "stages",
-    )
-
     @classmethod
     def _normalize_fields(cls, fields: Dict[str, Any]) -> Dict[str, Any]:
         """Shared validation/normalization of spec fields (config + overrides)."""
-        unknown = sorted(set(fields) - set(cls._FIELDS))
+        unknown = sorted(set(fields) - set(_FIELD_TYPES))
         if unknown:
             raise PipelineError(
-                f"unknown pipeline config key(s) {unknown}; known keys: {list(cls._FIELDS)}"
+                f"unknown pipeline config key(s) {unknown}; known keys: {list(_FIELD_TYPES)}"
             )
+        for name, value in fields.items():
+            types, expected = _FIELD_TYPES[name]
+            if not _accepts(types, value):
+                raise PipelineError(
+                    f"pipeline config key {name!r} must be {expected}, got {value!r}"
+                )
         if fields.get("stages") is not None:
             stages = fields["stages"]
             if isinstance(stages, str):

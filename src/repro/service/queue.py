@@ -412,15 +412,6 @@ class JobQueue:
         with self._lock:
             return self._get_locked(job_id)
 
-    def find_by_key(self, job_key: str) -> List[Job]:
-        """All jobs ever enqueued under ``job_key``, newest first."""
-        with self._lock:
-            rows = self._conn.execute(
-                f"SELECT {_COLUMNS} FROM jobs WHERE job_key=? ORDER BY seq DESC",
-                (job_key,),
-            ).fetchall()
-        return [_row_to_job(row) for row in rows]
-
     def list_jobs(self, state: Optional[str] = None, limit: int = 100) -> List[Job]:
         """Jobs newest-first, optionally filtered by state."""
         if state is not None and state not in JOB_STATES:

@@ -14,15 +14,16 @@ Modules
 * :mod:`repro.workloads.programs` — the structured random program generator;
 * :mod:`repro.workloads.suites` — per-suite generation profiles
   (``spec2000int``, ``eembc``, ``lao_kernels``, ``specjvm98``);
-* :mod:`repro.workloads.extraction` — program → allocation-problem pipeline
-  (chordal/SSA and general/non-SSA variants);
 * :mod:`repro.workloads.corpus` — deterministic corpus construction used by
-  the experiment harness and the benchmarks.
+  the experiment harness and the benchmarks: each function goes through the
+  front end of :class:`repro.pipeline.Pipeline` (chordal/SSA or
+  general/non-SSA lowering, per suite).  For one function, run
+  ``Pipeline.from_spec(stages="liveness,interference,extract", ...)`` and
+  read ``context.problem``.
 """
 
 from repro.workloads.programs import GeneratorProfile, generate_function, generate_module
 from repro.workloads.suites import SUITES, SuiteSpec, get_suite
-from repro.workloads.extraction import extract_chordal_problem, extract_general_problem
 from repro.workloads.corpus import Corpus, CorpusStream, build_corpus
 
 __all__ = [
@@ -32,8 +33,6 @@ __all__ = [
     "SUITES",
     "SuiteSpec",
     "get_suite",
-    "extract_chordal_problem",
-    "extract_general_problem",
     "Corpus",
     "CorpusStream",
     "build_corpus",

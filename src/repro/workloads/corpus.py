@@ -5,6 +5,14 @@ synthetic suite for one target — the unit the experiment harness sweeps over.
 Construction is deterministic given ``(suite, target, seed)``, so every
 figure and benchmark is reproducible.
 
+Extraction is the paper's graph-extraction step: each generated function runs
+through one front-end :class:`~repro.pipeline.Pipeline` per corpus
+(``liveness -> interference -> extract``).  Chordal suites lower to SSA
+(φ insertion + renaming), producing chordal graphs — the ST231/ARMv7
+studies; the others construct SSA and destruct it again with φ-web and copy
+coalescing, producing the general graphs a non-SSA JIT sees — the SPEC JVM98
+study.
+
 Two constructions live here:
 
 * :func:`build_corpus` materializes the full :class:`Corpus` up front —
@@ -22,13 +30,22 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
 from repro.alloc.problem import AllocationProblem
+from repro.pipeline.engine import Pipeline
+from repro.pipeline.spec import PipelineSpec
 from repro.targets import get_target
 from repro.targets.machine import TargetMachine
-from repro.workloads.extraction import extract_chordal_problem, extract_general_problem
 from repro.workloads.programs import generate_function
 from repro.workloads.suites import SuiteSpec, get_suite
 
 import random
+
+#: the front-end slice of the canonical stage chain.
+_FRONT_END_STAGES = ("liveness", "interference", "extract")
+
+
+def _front_end(suite: SuiteSpec, target: TargetMachine) -> Pipeline:
+    """The extraction pipeline of ``suite`` on ``target`` (see module docs)."""
+    return Pipeline(PipelineSpec(target=target, ssa=suite.chordal, stages=_FRONT_END_STAGES))
 
 
 @dataclass
@@ -115,6 +132,7 @@ class CorpusStream:
         ]
         if not self._profiles:
             raise ValueError(f"suite {suite.name!r} has no programs to stream from")
+        self._front_end = _front_end(suite, target)
 
     def __len__(self) -> int:
         return self.count
@@ -126,10 +144,7 @@ class CorpusStream:
         program_name, profile = self._profiles[index % len(self._profiles)]
         rng = random.Random(self.seed * 2**32 + index)
         function = generate_function(f"{program_name}_fn{index}", profile, rng)
-        name = f"corpus/{program_name}/fn{index}"
-        if self.suite.chordal:
-            return extract_chordal_problem(function, self.target, name=name)
-        return extract_general_problem(function, self.target, name=name)
+        return self._front_end.run(function, name=f"corpus/{program_name}/fn{index}").problem
 
     def __iter__(self) -> Iterator[AllocationProblem]:
         for index in range(self.count):
@@ -156,6 +171,7 @@ def build_corpus(
         target = get_target(target)
 
     rng = random.Random(seed)
+    front_end = _front_end(suite, target)
     corpus = Corpus(suite=suite.name, target=target.name, seed=seed, scale=scale)
     index = 0
     for program_name, (num_functions, profile) in suite.programs.items():
@@ -163,11 +179,7 @@ def build_corpus(
         for function_index in range(count):
             function = generate_function(f"{program_name}_fn{function_index}", profile, rng)
             name = f"{suite.name}/{program_name}/fn{function_index}"
-            if suite.chordal:
-                problem = extract_chordal_problem(function, target, name=name)
-            else:
-                problem = extract_general_problem(function, target, name=name)
-            corpus.problems.append(problem)
+            corpus.problems.append(front_end.run(function, name=name).problem)
             corpus.program_of[index] = program_name
             index += 1
     return corpus

@@ -14,7 +14,7 @@ from repro.analysis.ssa_construction import construct_ssa
 from repro.graphs.generators import complete_graph, cycle_graph, path_graph, random_chordal_graph
 from repro.graphs.graph import Graph
 from repro.ir.values import VirtualRegister
-from repro.workloads.extraction import extract_chordal_problem
+from tests.conftest import front_end_problem
 
 
 def make_problem(graph, registers, intervals=None):
@@ -147,7 +147,7 @@ def test_bls_ignores_furthest_rule_when_costs_differ_a_lot():
 
 def test_linear_scan_from_real_function_keeps_pressure_bounded(loop_function):
     ssa = construct_ssa(loop_function)
-    problem = extract_chordal_problem(loop_function, "st231")
+    problem = front_end_problem(loop_function)
     problem = problem.with_registers(3)
     result = LinearScanAllocator().allocate(problem)
     # The kept intervals overlap at most R at a time by construction.
@@ -165,7 +165,7 @@ def test_linear_scan_without_intervals_synthesizes_them(figure4_graph):
 
 
 def test_ls_and_bls_costs_at_least_optimal(loop_function):
-    problem = extract_chordal_problem(loop_function, "st231").with_registers(2)
+    problem = front_end_problem(loop_function).with_registers(2)
     optimal = OptimalAllocator().allocate(problem)
     for allocator in (LinearScanAllocator(), BeladyLinearScanAllocator()):
         result = allocator.allocate(problem)

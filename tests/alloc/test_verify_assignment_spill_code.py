@@ -13,7 +13,7 @@ from repro.analysis.ssa_construction import construct_ssa
 from repro.errors import AllocationError, InvalidAllocationError
 from repro.graphs.generators import complete_graph, cycle_graph, path_graph
 from repro.ir.validate import verify_function
-from repro.workloads.extraction import extract_chordal_problem
+from tests.conftest import front_end_problem
 
 
 # ---------------------------------------------------------------------- #
@@ -111,7 +111,7 @@ def test_assign_registers_non_chordal_allocation():
 
 
 def test_assign_registers_roundtrip_with_allocator(loop_function):
-    problem = extract_chordal_problem(loop_function, "st231").with_registers(3)
+    problem = front_end_problem(loop_function).with_registers(3)
     from repro.alloc import get_allocator
 
     result = get_allocator("BFPL").allocate(problem)
@@ -132,7 +132,7 @@ def test_insert_spill_code_counts_loads_and_stores(loop_function):
 
 def test_insert_spill_code_reduces_pressure(loop_function):
     ssa = construct_ssa(loop_function)
-    problem = extract_chordal_problem(loop_function, "st231").with_registers(3)
+    problem = front_end_problem(loop_function).with_registers(3)
     from repro.alloc import get_allocator
 
     result = get_allocator("BFPL").allocate(problem)
@@ -218,38 +218,42 @@ def _result_all_allocated(problem):
     )
 
 
+def _verify_assignment(problem, result, assignment, target=None):
+    """Run the pipeline's ``verify`` stage on a concrete register assignment."""
+    from repro.pipeline import Pipeline, PipelineContext
+
+    context = PipelineContext(
+        problem=problem, result=result, assignment=assignment, target=target
+    )
+    return Pipeline.from_spec("verify").run_context(context)
+
+
 def test_check_assignment_accepts_valid_assignment():
-    from repro.alloc.verify import check_assignment
     from repro.targets import get_target
 
     problem = _tiny_problem()
     result = _result_all_allocated(problem)
     # st231 reserves r0, so the R=2 budget covers allocatable r1/r2.
     assignment = {"a": "r1", "b": "r2", "c": "r1"}
-    check_assignment(problem, result, assignment, target=get_target("st231"))
+    context = _verify_assignment(problem, result, assignment, target=get_target("st231"))
+    assert context.stage_stats["verify"]["assignment_checked"]
 
 
 def test_check_assignment_rejects_interfering_shared_register():
-    from repro.alloc.verify import check_assignment
-
     problem = _tiny_problem()
     result = _result_all_allocated(problem)
     with pytest.raises(InvalidAllocationError, match="share register"):
-        check_assignment(problem, result, {"a": "r0", "b": "r0", "c": "r1"})
+        _verify_assignment(problem, result, {"a": "r0", "b": "r0", "c": "r1"})
 
 
 def test_check_assignment_rejects_missing_variable():
-    from repro.alloc.verify import check_assignment
-
     problem = _tiny_problem()
     result = _result_all_allocated(problem)
     with pytest.raises(InvalidAllocationError, match="missing from the register assignment"):
-        check_assignment(problem, result, {"a": "r0", "b": "r1"})
+        _verify_assignment(problem, result, {"a": "r0", "b": "r1"})
 
 
 def test_check_assignment_rejects_assigned_spilled_variable():
-    from repro.alloc.verify import check_assignment
-
     problem = _tiny_problem()
     vertices = list(problem.graph.vertices())
     result = AllocationResult.from_sets(
@@ -261,25 +265,23 @@ def test_check_assignment_rejects_assigned_spilled_variable():
     )
     assignment = {v: f"r{i}" for i, v in enumerate(vertices)}
     with pytest.raises(InvalidAllocationError, match="spilled variables must not"):
-        check_assignment(problem, result, assignment)
+        _verify_assignment(problem, result, assignment)
 
 
 def test_check_assignment_rejects_register_outside_target_file():
-    from repro.alloc.verify import check_assignment
     from repro.targets import get_target
 
     problem = _tiny_problem()
     result = _result_all_allocated(problem)
     # jikesrvm-ia32 has 6 registers; r9 does not exist in its file.
     with pytest.raises(InvalidAllocationError, match="outside target"):
-        check_assignment(
+        _verify_assignment(
             problem, result, {"a": "r0", "b": "r9", "c": "r0"},
             target=get_target("jikesrvm-ia32"),
         )
 
 
 def test_check_assignment_respects_register_count_budget():
-    from repro.alloc.verify import check_assignment
     from repro.targets import get_target
 
     problem = _tiny_problem()  # R = 2
@@ -287,7 +289,7 @@ def test_check_assignment_respects_register_count_budget():
     # r3 is a valid st231 name but outside the problem's R=2 budget (the
     # sweep restricted the allocatable file — r0 is reserved — to r1/r2).
     with pytest.raises(InvalidAllocationError, match="outside target"):
-        check_assignment(
+        _verify_assignment(
             problem, result, {"a": "r3", "b": "r1", "c": "r3"},
             target=get_target("st231"),
         )

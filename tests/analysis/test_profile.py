@@ -12,8 +12,8 @@ from repro.analysis.profile import (
 from repro.analysis.spill_costs import spill_costs
 from repro.analysis.ssa_construction import construct_ssa
 from repro.ir.values import VirtualRegister
-from repro.workloads.extraction import extract_chordal_problem
 from repro.workloads.programs import GeneratorProfile, generate_function
+from tests.conftest import front_end_problem
 
 
 def test_default_argument_sets_deterministic(loop_function):
@@ -95,7 +95,7 @@ def test_static_cost_ranks_match_dynamic_overhead_on_average():
 def test_optimal_allocation_has_no_higher_dynamic_overhead_than_spilling_everything():
     profile = GeneratorProfile(statements=25, accumulators=6, loop_depth=2)
     fn = generate_function("dyn", profile, rng=11)
-    problem = extract_chordal_problem(fn, "st231").with_registers(4)
+    problem = front_end_problem(fn).with_registers(4)
     ssa = construct_ssa(fn)
     arguments = [[3, 5, 7]]
     optimal = get_allocator("Optimal").allocate(problem)

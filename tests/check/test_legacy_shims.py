@@ -2,14 +2,15 @@
 
 ``repro.ir.validate`` and ``repro.alloc.verify`` predate the machine-verifier;
 both now delegate to the diagnostic framework but must keep raising the exact
-strings existing callers and tests match on.
+strings existing callers and tests match on.  (Assignment checks have no shim:
+the pipeline's verify stage reads ``assignment_diagnostics`` directly.)
 """
 
 import pytest
 
 from repro.alloc.problem import AllocationProblem
 from repro.alloc.result import AllocationResult
-from repro.alloc.verify import check_allocation, check_assignment
+from repro.alloc.verify import check_allocation
 from repro.errors import InvalidAllocationError, VerificationError
 from repro.graphs.graph import Graph
 from repro.ir.parser import parse_function, parse_module
@@ -93,20 +94,7 @@ def test_check_allocation_still_returns_a_feasibility_report():
     assert report.feasible
 
 
-def test_check_assignment_message_unchanged_shared_register():
-    problem, result = _problem(), _result({"a", "b"}, {"c"}, 1.0)
-    with pytest.raises(InvalidAllocationError) as excinfo:
-        check_assignment(problem, result, {"a": "R0", "b": "R0"})
-    assert str(excinfo.value) == "interfering variables a and b share register 'R0'"
-
-
-def test_check_assignment_accepts_a_valid_assignment():
-    problem, result = _problem(), _result({"a", "b"}, {"c"}, 1.0)
-    check_assignment(problem, result, {"a": "R0", "b": "R1"})
-
-
 def test_shims_document_their_replacement():
     assert "deprecated" in (verify_function.__doc__ or "")
     assert "repro.check" in (verify_function.__doc__ or "")
-    assert "deprecated" in (check_assignment.__doc__ or "")
     assert "deprecated" in (check_allocation.__doc__ or "")

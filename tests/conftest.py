@@ -8,6 +8,13 @@ import pytest
 
 from repro.graphs.graph import Graph
 from repro.ir.builder import FunctionBuilder
+from repro.pipeline import Pipeline
+
+
+def front_end_problem(function, target="st231", ssa=True, name=None):
+    """``function``'s allocation problem from the pipeline's front-end stages."""
+    pipeline = Pipeline.from_spec(target=target, ssa=ssa, stages="liveness,interference,extract")
+    return pipeline.run(function, name=name).problem
 
 
 def build_paper_figure4_graph() -> Graph:

@@ -69,19 +69,6 @@ def test_explicit_local_backend_matches_default_with_store(tmp_path):
     assert manifest.config["backend"] == "local"
 
 
-def test_local_backend_jobs_override_matches_serial(tmp_path):
-    problems = _problems()
-    config = _config()
-    serial = run_experiment(problems, config)
-    pooled = run_experiment(problems, config, backend=LocalPoolBackend(jobs=2))
-    assert _key(serial) == _key(pooled)
-
-
-def test_local_backend_rejects_bad_jobs():
-    with pytest.raises(ValueError):
-        LocalPoolBackend(jobs=0)
-
-
 # ---------------------------------------------------------------------- #
 # service backend: configuration and store requirements
 # ---------------------------------------------------------------------- #

@@ -18,7 +18,7 @@ from repro.experiments.figures import (
     figure15,
     inclusion_study,
 )
-from repro.experiments.runner import ExperimentConfig, run_experiment, run_instance
+from repro.experiments.runner import ExperimentConfig, run_cells, run_experiment
 from repro.graphs.generators import random_chordal_graph
 from repro.workloads.corpus import build_corpus
 
@@ -30,7 +30,8 @@ def tiny_chordal_corpus():
 
 def test_run_instance_produces_one_record_per_combination(figure4_graph):
     problem = AllocationProblem(graph=figure4_graph, num_registers=2, name="fig4")
-    records = run_instance(problem, ["NL", "Optimal"], [1, 2], program="paper")
+    cells = [(r, name) for r in [1, 2] for name in ["NL", "Optimal"]]
+    records = run_cells(problem, cells, program="paper")
     assert len(records) == 4
     allocators = {(r.allocator, r.num_registers) for r in records}
     assert allocators == {("NL", 1), ("NL", 2), ("Optimal", 1), ("Optimal", 2)}

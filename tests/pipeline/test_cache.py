@@ -10,8 +10,8 @@ from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.pipeline import Pipeline, allocate_cell_key, result_from_record
 from repro.store import open_store
 from repro.workloads.corpus import Corpus
-from repro.workloads.extraction import extract_chordal_problem
 from repro.workloads.programs import GeneratorProfile, generate_function
+from tests.conftest import front_end_problem
 
 
 class _CountingNL(LayeredOptimalAllocator):
@@ -67,7 +67,7 @@ def test_warm_parallel_batch_hits_through_the_store_file(store_path):
 def test_sweep_warms_the_engine_and_the_engine_warms_the_sweep(store_path):
     """The engine and run_experiment address the very same cells."""
     fns = _functions(3)
-    problems = [extract_chordal_problem(fn, "st231", name=f"suite/prog/{fn.name}") for fn in fns]
+    problems = [front_end_problem(fn, name=f"suite/prog/{fn.name}") for fn in fns]
     corpus = Corpus(
         suite="suite",
         target="st231",
@@ -87,7 +87,7 @@ def test_sweep_warms_the_engine_and_the_engine_warms_the_sweep(store_path):
         # And the other direction: engine-computed cells count as sweep hits.
         fresh = generate_function("fresh", GeneratorProfile(statements=25, accumulators=5), rng=99)
         engine.run(fresh)
-        problems2 = problems + [extract_chordal_problem(fresh, "st231", name="suite/prog/fresh")]
+        problems2 = problems + [front_end_problem(fresh, name="suite/prog/fresh")]
         corpus2 = Corpus(
             suite="suite",
             target="st231",

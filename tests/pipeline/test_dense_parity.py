@@ -1,16 +1,22 @@
 """The dense front-end kernel must be indistinguishable from the set-based
 reference through every pipeline observable: results, stats, rewritten IR,
-problem digests and store cells."""
+problem digests and store cells.
+
+The reference run builds the front-end context from the set-based kernels
+(:func:`tests.pipeline.conftest.legacy_front_end`) and enters the same chain
+at ``extract``.
+"""
 
 import pytest
 
 from repro.graphs.dense import DenseGraph
 from repro.graphs.graph import Graph
 from repro.oracle.generator import generate_program
-from repro.pipeline import Pipeline
+from repro.pipeline import Pipeline, PipelineContext
 from repro.pipeline.spec import PipelineSpec
 from repro.store.keys import problem_digest
 from repro.workloads.programs import GeneratorProfile, generate_function
+from tests.pipeline.conftest import legacy_front_end
 
 
 def _functions():
@@ -23,10 +29,29 @@ def _functions():
     return fns
 
 
-def _run(fn, allocator, ssa, dense, store=None):
-    spec = PipelineSpec(allocator=allocator, target="st231", registers=4, ssa=ssa, dense=dense)
-    with Pipeline(spec, store=store) as pipe:
+def _spec(allocator, ssa):
+    return PipelineSpec(allocator=allocator, target="st231", registers=4, ssa=ssa)
+
+
+def _run(fn, allocator, ssa, store=None):
+    """The pipeline end to end (the dense kernel)."""
+    with Pipeline(_spec(allocator, ssa), store=store) as pipe:
         return pipe.run(fn)
+
+
+def _run_reference(fn, allocator, ssa, store=None):
+    """The same chain on the set-based front end, entered at ``extract``."""
+    spec = _spec(allocator, ssa)
+    target = spec.resolve_target()
+    context = PipelineContext(
+        function=fn,
+        name=fn.name,
+        target=target,
+        num_registers=spec.registers,
+        **legacy_front_end(fn, target, ssa),
+    )
+    with Pipeline(spec, store=store) as pipe:
+        return pipe.run_context(context)
 
 
 @pytest.mark.parametrize("allocator", ["NL", "BFPL"])
@@ -36,12 +61,12 @@ def test_dense_and_reference_pipelines_are_byte_identical(allocator, ssa):
 
     for fn in _functions():
         try:
-            dense_ctx = _run(fn, allocator, ssa, dense=True)
+            dense_ctx = _run(fn, allocator, ssa)
         except NotChordalError:
             with pytest.raises(NotChordalError):
-                _run(fn, allocator, ssa, dense=False)
+                _run_reference(fn, allocator, ssa)
             continue
-        ref_ctx = _run(fn, allocator, ssa, dense=False)
+        ref_ctx = _run_reference(fn, allocator, ssa)
         assert isinstance(dense_ctx.graph, DenseGraph)
         assert not isinstance(ref_ctx.graph, DenseGraph) and isinstance(ref_ctx.graph, Graph)
         assert dense_ctx.result.spilled == ref_ctx.result.spilled
@@ -58,35 +83,19 @@ def test_dense_and_reference_pipelines_are_byte_identical(allocator, ssa):
         )
 
 
-def test_liveness_stage_records_which_kernel_ran():
-    fn = _functions()[0]
-    dense_ctx = _run(fn, "NL", True, dense=True)
-    ref_ctx = _run(fn, "NL", True, dense=False)
-    assert dense_ctx.stage_stats["liveness"]["kernel"] == "dense"
-    assert ref_ctx.stage_stats["liveness"]["kernel"] == "sets"
-
-
 def test_reference_pipeline_hits_cells_warmed_by_the_dense_kernel(tmp_path):
     """Digest parity, end to end: a store warmed by the dense kernel serves
     the set-based reference (and vice versa) without an allocator call."""
     store = str(tmp_path / "cross.sqlite")
     fn = _functions()[0]
-    warm = _run(fn, "NL", True, dense=True, store=store)
+    warm = _run(fn, "NL", True, store=store)
     assert warm.stage_stats["allocate"]["cache"] == "miss"
-    served = _run(fn, "NL", True, dense=False, store=store)
+    served = _run_reference(fn, "NL", True, store=store)
     assert served.stage_stats["allocate"]["cache"] == "hit"
     assert served.result.spilled == warm.result.spilled
     # and the reverse direction
     fn2 = _functions()[1]
-    warm2 = _run(fn2, "NL", True, dense=False, store=store)
+    warm2 = _run_reference(fn2, "NL", True, store=store)
     assert warm2.stage_stats["allocate"]["cache"] == "miss"
-    served2 = _run(fn2, "NL", True, dense=True, store=store)
+    served2 = _run(fn2, "NL", True, store=store)
     assert served2.stage_stats["allocate"]["cache"] == "hit"
-
-
-def test_dense_spec_forms_parse():
-    assert PipelineSpec().dense is True
-    assert PipelineSpec.parse('{"dense": false}').dense is False
-    assert PipelineSpec.parse(None, dense=False).dense is False
-    assert PipelineSpec.from_config({"dense": False, "allocator": "NL"}).dense is False
-    assert PipelineSpec.parse("NL").dense is True

@@ -45,14 +45,33 @@ def test_contexts_are_immutable():
 
 
 def test_run_problem_skips_front_end_and_rewriting_stages():
-    from repro.workloads.extraction import extract_chordal_problem
-
-    problem = extract_chordal_problem(_functions(1)[0], "st231").with_registers(4)
+    front_end = Pipeline.from_spec(target="st231", stages="liveness,interference,extract")
+    problem = front_end.run(_functions(1)[0]).problem.with_registers(4)
     ctx = Pipeline.from_spec("NL", registers=4).run_problem(problem)
     assert ctx.result is not None and ctx.report is not None
     assert ctx.rewritten is None
     skipped = {s for s, stats in ctx.stage_stats.items() if "skipped" in stats}
     assert skipped == {"liveness", "interference", "extract", "spill_code", "loadstore_opt"}
+
+
+def test_verify_stage_rejects_interfering_variables_in_one_register():
+    from repro.alloc.problem import AllocationProblem
+    from repro.alloc.result import AllocationResult
+    from repro.errors import InvalidAllocationError
+    from repro.graphs.graph import Graph
+
+    graph = Graph()
+    graph.add_edge("a", "b")
+    graph.add_edge("b", "c")
+    problem = AllocationProblem(graph=graph, num_registers=2, name="shared")
+    result = AllocationResult.from_sets(
+        allocator="test", num_registers=2, allocated=["a", "b"], spilled=["c"], spill_cost=1.0
+    )
+    context = PipelineContext(problem=problem, result=result, assignment={"a": "R0", "b": "R0"})
+    with pytest.raises(InvalidAllocationError) as excinfo:
+        Pipeline.from_spec("verify").run_context(context)
+    # ALLOC007, raised with the diagnostic's bare message.
+    assert str(excinfo.value) == "interfering variables a and b share register 'R0'"
 
 
 def test_no_opt_spec_produces_naive_spill_code():

@@ -2,9 +2,9 @@
 
 The oracle is the *legacy glue path* — the exact sequence of loose calls the
 repo shipped before the engine existed (SSA construction, liveness, costs,
-interference graph, allocation, optimized spill-code insertion), reproduced
-inline here so it stays frozen even though the library helpers now delegate
-to the engine.  The engine must match it byte-for-byte on every example
+interference graph — :func:`tests.pipeline.conftest.legacy_front_end` — then
+allocation and optimized spill-code insertion), reproduced in the tests so it
+stays frozen.  The engine must match it byte-for-byte on every example
 program, on every target.
 """
 
@@ -15,16 +15,11 @@ import pytest
 from repro.alloc import get_allocator, insert_optimized_spill_code, insert_spill_code
 from repro.alloc.problem import AllocationProblem
 from repro.alloc.verify import check_allocation
-from repro.analysis.interference import build_interference_graph
-from repro.analysis.live_ranges import live_intervals
-from repro.analysis.liveness import liveness
-from repro.analysis.spill_costs import spill_costs
-from repro.analysis.ssa_construction import construct_ssa
-from repro.analysis.ssa_destruction import coalesce_copies, destruct_ssa
 from repro.ir.parser import parse_function, parse_module
 from repro.ir.printer import print_function
 from repro.pipeline import Pipeline
 from repro.targets import get_target
+from tests.pipeline.conftest import legacy_front_end
 
 EXAMPLES = sorted((Path(__file__).resolve().parents[2] / "examples" / "ir").glob("*.ir"))
 
@@ -38,16 +33,10 @@ TARGET_MATRIX = [
 
 def _legacy_glue(function, target_name, ssa, allocator_name, registers, opt=True):
     """The pre-engine path: loose helper calls glued together by hand."""
-    target = get_target(target_name)
-    lowered = construct_ssa(function)
-    if not ssa:
-        lowered = coalesce_copies(destruct_ssa(lowered, coalesce_phi_webs=True))
-    info = liveness(lowered)
-    costs = spill_costs(lowered, store_cost=target.store_cost, load_cost=target.load_cost)
-    graph = build_interference_graph(lowered, info=info, weights=costs)
-    intervals = live_intervals(lowered, info=info)
+    front = legacy_front_end(function, get_target(target_name), ssa)
+    lowered = front["lowered"]
     problem = AllocationProblem(
-        graph=graph, num_registers=registers, intervals=intervals, name=function.name
+        graph=front["graph"], num_registers=registers, intervals=front["intervals"], name=function.name
     )
     result = get_allocator(allocator_name).allocate(problem)
     check_allocation(problem, result, strict=True)

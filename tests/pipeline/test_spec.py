@@ -83,6 +83,43 @@ def test_unknown_config_key_is_a_clean_error():
         PipelineSpec.from_config({"allocatr": "NL"})
 
 
+@pytest.mark.parametrize("knob", ["dense", "coalesce_phi_webs", "coalesce_moves"])
+def test_removed_front_end_knobs_are_unknown_config_keys(knob):
+    with pytest.raises(PipelineError, match="unknown pipeline config key") as excinfo:
+        PipelineSpec.parse(f'{{"{knob}": false}}')
+    assert "known keys: ['allocator', 'target', 'registers', 'ssa'" in str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        '{"registers": "8"}',
+        '{"registers": true}',
+        '{"stages": 5}',
+        '{"stages": ["liveness", 5]}',
+        '{"constrain": "x"}',
+        '{"constrain": true}',
+        '{"target": 5}',
+        '{"allocator": 3}',
+        '{"check": 1}',
+        '{"ssa": "false"}',
+        '{"verify": "no"}',
+        '{"opt": 0}',
+    ],
+)
+def test_config_values_of_the_wrong_type_are_clean_errors(config):
+    with pytest.raises(PipelineError, match="pipeline config key '[a-z]+' must be"):
+        PipelineSpec.parse(config)
+
+
+def test_config_values_of_the_right_type_pass():
+    spec = PipelineSpec.parse(
+        '{"stages": ["liveness", "interference"], "constrain": 1, "registers": null, "ssa": false}'
+    )
+    assert spec.stages == ("liveness", "interference")
+    assert spec.constrain == 1 and spec.registers is None and spec.ssa is False
+
+
 def test_unknown_target_is_a_clean_error():
     with pytest.raises(PipelineError, match="unknown target"):
         PipelineSpec.parse(None, target="pdp11").validate()

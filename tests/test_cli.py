@@ -163,6 +163,18 @@ def test_cli_allocate_unknown_stage_is_clean_exit_1(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("config", ['{"registers": "8"}', '{"ssa": "false"}', '{"stages": 5}'])
+@pytest.mark.parametrize("command", ["allocate", "trace"])
+def test_cli_mistyped_pipeline_config_is_clean_exit_1(tmp_path, capsys, command, config):
+    path = _write_example_ir(tmp_path)
+    argv = ["allocate", "--input", str(path)] if command == "allocate" else ["trace", str(path)]
+    assert main(argv + ["--pipeline", config]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("repro-alloc: error: pipeline config key")
+
+
 def test_cli_allocate_emit_ir_prints_rewritten_function(tmp_path, capsys):
     path = _write_example_ir(tmp_path)
     assert (

@@ -13,11 +13,13 @@ def test_public_api_names():
 
 
 def test_quickstart_from_module_docstring_works():
+    from repro import Pipeline
     from repro.alloc import get_allocator
-    from repro.workloads import extract_chordal_problem, generate_function
+    from repro.workloads import generate_function
 
     function = generate_function("demo", rng=42)
-    problem = extract_chordal_problem(function, "st231").with_registers(8)
+    front_end = Pipeline.from_spec(target="st231", stages="liveness,interference,extract")
+    problem = front_end.run(function).problem.with_registers(8)
     result = get_allocator("BFPL").allocate(problem)
     assert result.spill_cost >= 0
     assert result.allocated | result.spilled == set(problem.graph.vertices())

@@ -1,4 +1,4 @@
-"""Tests for the extraction pipeline and corpus construction."""
+"""Tests for problem extraction (the pipeline front end) and corpus construction."""
 
 import pytest
 
@@ -7,8 +7,8 @@ from repro.alloc.verify import check_allocation
 from repro.graphs.chordal import is_chordal
 from repro.targets import get_target
 from repro.workloads.corpus import build_corpus
-from repro.workloads.extraction import extract_chordal_problem, extract_general_problem
 from repro.workloads.programs import GeneratorProfile, generate_function
+from tests.conftest import front_end_problem
 
 
 @pytest.fixture(scope="module")
@@ -17,7 +17,7 @@ def sample_function():
 
 
 def test_chordal_extraction_produces_chordal_graph(sample_function):
-    problem = extract_chordal_problem(sample_function, "st231")
+    problem = front_end_problem(sample_function)
     assert problem.is_chordal
     assert is_chordal(problem.graph)
     assert problem.num_registers == get_target("st231").num_registers
@@ -26,32 +26,32 @@ def test_chordal_extraction_produces_chordal_graph(sample_function):
 
 
 def test_chordal_extraction_weights_are_positive(sample_function):
-    problem = extract_chordal_problem(sample_function, "st231")
+    problem = front_end_problem(sample_function)
     assert all(problem.graph.weight(v) >= 0 for v in problem.graph.vertices())
     assert problem.total_weight > 0
 
 
 def test_general_extraction_uses_coalesced_names(sample_function):
-    problem = extract_general_problem(sample_function, "jikesrvm-ia32")
+    problem = front_end_problem(sample_function, "jikesrvm-ia32", ssa=False)
     assert any(str(v).endswith(".web") for v in problem.graph.vertices())
 
 
 def test_extraction_accepts_target_objects(sample_function):
     target = get_target("armv7-a8")
-    problem = extract_chordal_problem(sample_function, target, name="custom")
+    problem = front_end_problem(sample_function, target, name="custom")
     assert problem.name == "custom"
     assert problem.num_registers == 16
 
 
 def test_extracted_problem_is_allocatable(sample_function):
-    problem = extract_chordal_problem(sample_function, "st231").with_registers(4)
+    problem = front_end_problem(sample_function).with_registers(4)
     result = get_allocator("BFPL").allocate(problem)
     assert check_allocation(problem, result).feasible
 
 
 def test_general_extraction_load_store_costs_scale(sample_function):
     cheap_target = get_target("st231")
-    problem = extract_chordal_problem(sample_function, cheap_target)
+    problem = front_end_problem(sample_function, cheap_target)
     assert problem.total_weight > 0
 
 
