@@ -507,6 +507,12 @@ def measure_service_latency(jobs=8, statements=60, registers=6, seed_base=0):
     warm pass served every allocation from the cache (zero allocator
     calls) and that both passes returned byte-identical function payloads.
 
+    Then times the batch path as ``batch_window_seconds``: one cold sweep
+    of the first Figure 9 instance (36 cells, posted as batches of 32 and
+    4) through :class:`~repro.experiments.backends.ServiceBackend`, as
+    ``reproduce --backend service`` runs it, against a fresh service,
+    queue and store.  Asserts its records equal the in-process sweep's.
+
     Returns a dict shaped for the ``service_latency`` bench-history block
     (``*_seconds`` metrics diff as lower-is-better).
     """
@@ -514,8 +520,13 @@ def measure_service_latency(jobs=8, statements=60, registers=6, seed_base=0):
     import time
     from pathlib import Path
 
+    from repro.experiments.backends import ServiceBackend
+    from repro.experiments.figures import FIGURE_SPECS
+    from repro.experiments.runner import ExperimentConfig, run_experiment
     from repro.ir.printer import print_function
     from repro.service import AllocationService, ServiceClient
+    from repro.store import open_store
+    from repro.workloads.corpus import build_corpus
 
     corpus = [
         print_function(
@@ -556,7 +567,21 @@ def measure_service_latency(jobs=8, statements=60, registers=6, seed_base=0):
         with AllocationService(store, Path(tmp) / "q_warm.sqlite", workers=2) as service:
             warm_seconds, warm_results = one_pass(service, expect_misses=False)
 
+        spec = FIGURE_SPECS["figure9"]
+        window = build_corpus(spec.suite, target=spec.target, seed=2013).problems[:1]
+        config = ExperimentConfig(allocators=list(spec.allocators), register_counts=list(spec.register_counts))
+        with AllocationService(Path(tmp) / "batch.sqlite", workers=2) as service:
+            with open_store(Path(tmp) / "batch-client.sqlite") as client_store:
+                started = time.perf_counter()
+                served = run_experiment(window, config, store=client_store, backend=ServiceBackend([service.url]))
+                batch_window_seconds = time.perf_counter() - started
+        local = run_experiment(window, config)
+
     assert warm_results == cold_results, "warm service results diverged from cold"
+    assert len(served) == len(spec.allocators) * len(spec.register_counts)
+    assert [(r.allocator, r.num_registers, r.spill_cost, r.spilled) for r in served] == [
+        (r.allocator, r.num_registers, r.spill_cost, r.spilled) for r in local
+    ], "service batch window diverged from the in-process sweep"
     return {
         "jobs": jobs,
         "statements": statements,
@@ -564,6 +589,8 @@ def measure_service_latency(jobs=8, statements=60, registers=6, seed_base=0):
         "warm_seconds": round(warm_seconds, 6),
         "mean_cold_seconds": round(cold_seconds / jobs, 6),
         "mean_warm_seconds": round(warm_seconds / jobs, 6),
+        "batch_cells": len(served),
+        "batch_window_seconds": round(batch_window_seconds, 6),
     }
 
 
@@ -574,9 +601,11 @@ def test_service_latency_warm_beats_nothing_but_asserts_cache(capsys):
         print(
             f"\nservice submit->result latency ({results['jobs']} jobs): "
             f"cold {results['cold_seconds'] * 1e3:.1f} ms, "
-            f"warm {results['warm_seconds'] * 1e3:.1f} ms"
+            f"warm {results['warm_seconds'] * 1e3:.1f} ms, "
+            f"batch window ({results['batch_cells']} cells) {results['batch_window_seconds'] * 1e3:.1f} ms"
         )
     assert results["cold_seconds"] > 0 and results["warm_seconds"] > 0
+    assert results["batch_window_seconds"] > 0
 
 
 def main(argv=None):
@@ -653,7 +682,9 @@ def main(argv=None):
             f"service latency ({service_latency['jobs']} jobs over HTTP): "
             f"cold {service_latency['cold_seconds'] * 1e3:.1f} ms total, "
             f"warm {service_latency['warm_seconds'] * 1e3:.1f} ms total "
-            f"(warm pass: zero allocator calls, byte-identical results)"
+            f"(warm pass: zero allocator calls, byte-identical results); "
+            f"batch window ({service_latency['batch_cells']} cells): "
+            f"{service_latency['batch_window_seconds'] * 1e3:.1f} ms"
         )
 
     if args.json or args.append_history:

@@ -126,12 +126,14 @@ class ServiceBackend(ExecutionBackend):
 
     Every missing cell becomes one graph submission (the problem's
     interference graph, intervals when present, register count and
-    allocator); submissions are grouped into batches of ``batch_size`` and
-    posted round-robin across ``endpoints`` as ``POST /v1/batches`` jobs —
-    one queue job per batch, claimed as a unit by one service worker.  All
-    batches are submitted before any is polled, so the whole fleet drains
-    in parallel; results are rehydrated into :class:`InstanceRecord`\\ s and
-    handed to the runner's ``emit`` for keying and persistence.
+    allocator).  Each planned instance's graph and intervals are encoded
+    once and shared by the submissions of all its cells.  Submissions are
+    grouped into batches of ``batch_size`` and posted round-robin across
+    ``endpoints`` as ``POST /v1/batches`` jobs — one queue job per batch,
+    claimed as a unit by one service worker.  All batches are submitted
+    before any is polled, so the whole fleet drains in parallel; results
+    are rehydrated into :class:`InstanceRecord`\\ s and handed to the
+    runner's ``emit`` for keying and persistence.
 
     ``runtime_seconds`` of service-computed records is ``0.0`` — the wall
     time was spent on another machine and is deliberately not passed off as
@@ -173,25 +175,26 @@ class ServiceBackend(ExecutionBackend):
         self._clients = [client_factory(url) for url in urls]
 
     # ------------------------------------------------------------------ #
-    def _submission(self, problem: AllocationProblem, cell: "runner.Cell") -> Dict:
-        registers, allocator = cell
+    def _submissions(self, problem: AllocationProblem, cells: Sequence["runner.Cell"]) -> List[Dict]:
+        """One graph submission per cell of ``problem``, all sharing one
+        encoding of its graph and intervals."""
         if problem.constraints is not None:
             raise ServiceError(
                 f"cannot distribute constrained problem {problem.name!r}: "
                 "machine-model constraints have no wire format yet — use the local backend"
             )
-        body: Dict = {
-            "graph": graph_to_dict(problem.graph, name=problem.name),
-            "registers": registers,
-            "allocator": allocator,
-            "name": problem.name,
-        }
-        if problem.intervals:
-            body["intervals"] = [
-                [str(interval.register), interval.start, interval.end]
-                for interval in problem.intervals
-            ]
-        return body
+        graph = graph_to_dict(problem.graph, name=problem.name)
+        intervals = [
+            [str(interval.register), interval.start, interval.end]
+            for interval in problem.intervals or ()
+        ]
+        bodies = []
+        for registers, allocator in cells:
+            body: Dict = {"graph": graph, "registers": registers, "allocator": allocator, "name": problem.name}
+            if intervals:
+                body["intervals"] = intervals
+            bodies.append(body)
+        return bodies
 
     def run_plan(
         self,
@@ -200,10 +203,10 @@ class ServiceBackend(ExecutionBackend):
         emit: EmitFn,
     ) -> None:
         tracer = current_tracer()
-        entries: List[Tuple[int, "runner.Cell", AllocationProblem, str]] = [
-            (index, cell, problem, program)
+        entries: List[Tuple[int, "runner.Cell", AllocationProblem, str, Dict]] = [
+            (index, cell, problem, program, body)
             for index, problem, program, missing in plan
-            for cell in missing
+            for cell, body in zip(missing, self._submissions(problem, missing))
         ]
 
         # Submit every batch before polling any: the fleet works in parallel
@@ -216,7 +219,7 @@ class ServiceBackend(ExecutionBackend):
             client = self._clients[position % len(self._clients)]
             endpoint = self.endpoints[position % len(self.endpoints)]
             body = {
-                "jobs": [self._submission(problem, cell) for _, cell, problem, _ in batch],
+                "jobs": [body for *_, body in batch],
                 "client": self.client,
                 "priority": self.priority,
                 "name": f"sweep-batch-{position:05d}",
@@ -255,7 +258,7 @@ class ServiceBackend(ExecutionBackend):
                     f"expected {len(batch)}"
                 )
             by_index: Dict[int, List[Tuple["runner.Cell", "runner.InstanceRecord"]]] = {}
-            for (index, cell, problem, program), member in zip(batch, members):
+            for (index, cell, problem, program, _), member in zip(batch, members):
                 payloads = member.get("records") or []
                 if len(payloads) != 1:
                     raise ServiceError(

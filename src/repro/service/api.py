@@ -27,6 +27,18 @@ returns the existing pending/running/done job instead of re-queueing.  The
 same cell keys drive the store lookup when the job runs, so a job whose
 cells are already cached completes without invoking an allocator at all.
 
+Batches (``POST /v1/batches``)
+------------------------------
+A batch key digests the sorted member keys.  A single job goes through the
+same member code as a batch of one.  Graph members with the same name,
+graph and intervals share one :class:`AllocationProblem`: it is built once
+and cloned per register count with
+:meth:`~repro.alloc.problem.AllocationProblem.with_registers`, once for the
+key at submit and once at execution.  Its digest, elimination order and
+cliques are therefore computed once per distinct graph, not once per
+member; a sweep batch of one instance's cells builds one graph.  IR members
+run the front end per member.
+
 :func:`execute_job` returns ``result["functions"]`` built from the
 *deterministic* subset of each pipeline summary (timings and per-stage
 stats stripped), so a warm re-run and ``Pipeline.run`` produce
@@ -38,7 +50,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.alloc.base import get_allocator
 from repro.alloc.problem import AllocationProblem
@@ -49,7 +61,6 @@ from repro.ir.parser import parse_module
 from repro.pipeline.engine import Pipeline
 from repro.pipeline.passes import allocate_cell_key
 from repro.pipeline.spec import PipelineSpec
-from repro.store.keys import CellKey
 
 #: the submit-time key format tag (bump on any change to the digest layout).
 JOB_KEY_VERSION = "repro-service-job/1"
@@ -169,6 +180,21 @@ def normalize_submission(body: Any) -> Dict[str, Any]:
     return payload
 
 
+def listing_limit(raw: str) -> int:
+    """Validate the ``limit`` query field of a ``GET /v1/jobs`` listing.
+
+    It must be an integer of at least 1: SQLite reads a negative ``LIMIT``
+    as no limit at all, so ``-1`` would list every job.
+    """
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise ServiceError(f"field 'limit' must be an integer >= 1, got {raw!r}")
+    return limit
+
+
 def _normalized_intervals(raw: Any) -> Optional[List[List[Any]]]:
     """Validate the optional ``intervals`` field of a graph submission.
 
@@ -258,6 +284,43 @@ def _graph_problem(payload: Dict[str, Any]) -> AllocationProblem:
     )
 
 
+def _members(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
+    """A batch's member payloads; any other payload is a batch of one."""
+    return payload["jobs"] if payload.get("kind") == "batch" else [payload]
+
+
+def _same_problem(a: Dict[str, Any], b: Dict[str, Any]) -> bool:
+    """Whether two graph members differ at most in allocator and registers."""
+    return (
+        a["name"] == b["name"]
+        and a.get("intervals") == b.get("intervals")
+        and a["graph"] == b["graph"]
+    )
+
+
+def _graph_problems(members: List[Dict[str, Any]]) -> Iterator[Optional[AllocationProblem]]:
+    """Each member's graph problem, in order (``None`` for an IR member).
+
+    Graph members with the same name, graph and intervals share one
+    problem: it is built once and cloned per register count with
+    :meth:`~AllocationProblem.with_registers`, as a local sweep does, so
+    the clones share its digest, elimination order and cliques.  Comparing
+    the decoded documents costs far less than rebuilding the graph.
+    """
+    built: List[Tuple[Dict[str, Any], AllocationProblem]] = []
+    for member in members:
+        if member["kind"] != "graph":
+            yield None
+            continue
+        shared = next((problem for other, problem in built if _same_problem(other, member)), None)
+        if shared is None:
+            problem = _graph_problem(member)
+            built.append((member, problem))
+            yield problem
+        else:
+            yield shared.with_registers(int(member["registers"]))
+
+
 def _payload_spec(payload: Dict[str, Any], **overrides: Any) -> PipelineSpec:
     return PipelineSpec.parse(
         {
@@ -271,68 +334,65 @@ def _payload_spec(payload: Dict[str, Any], **overrides: Any) -> PipelineSpec:
     )
 
 
-def submission_problems(payload: Dict[str, Any]) -> List[Tuple[str, AllocationProblem]]:
-    """Materialize the allocation problems a payload resolves to.
+def _front_end_problems(payload: Dict[str, Any]) -> List[Tuple[str, AllocationProblem]]:
+    """The problems of an IR payload, one per function, from the front end."""
+    module = parse_module(payload["ir"], name=payload["name"])
+    pipeline = Pipeline(_payload_spec(payload, stages=_FRONT_END_STAGES))
+    return [(context.name, context.problem) for context in map(pipeline.run, module)]
 
-    IR payloads run the front-end-only chain (liveness → interference →
-    extract) per function — exactly the analyses a full run would perform,
-    so the problems (and hence digests) match what the worker later keys
-    the cache with.  Raises :class:`ServiceError` on parse/build failures.
+
+def submission_problems(payload: Dict[str, Any]) -> List[List[Tuple[str, AllocationProblem]]]:
+    """Materialize the allocation problems of each member of a payload.
+
+    A single job is a batch of one.  Graph members share problems as
+    :func:`_graph_problems` describes.  IR members run the front-end-only
+    chain (liveness → interference → extract) per function — exactly the
+    analyses a full run would perform, so the problems (and hence digests)
+    match what the worker later keys the cache with.  Raises
+    :class:`ServiceError` on parse/build failures.
     """
+    members = _members(payload)
     try:
-        if payload["kind"] == "graph":
-            return [(payload["name"], _graph_problem(payload))]
-        module = parse_module(payload["ir"], name=payload["name"])
-        pipeline = Pipeline(_payload_spec(payload, stages=_FRONT_END_STAGES))
-        out: List[Tuple[str, AllocationProblem]] = []
-        for function in module:
-            context = pipeline.run(function)
-            out.append((context.name, context.problem))
-        return out
+        return [
+            _front_end_problems(member) if problem is None else [(member["name"], problem)]
+            for member, problem in zip(members, _graph_problems(members))
+        ]
     except ServiceError:
         raise
     except ReproError as error:
         raise ServiceError(f"invalid submission: {error}") from error
 
 
-def job_cells(payload: Dict[str, Any]) -> List[CellKey]:
-    """The store cell keys a payload's allocations will read/write."""
-    if payload.get("kind") == "batch":
-        out: List[CellKey] = []
-        for member in payload["jobs"]:
-            out.extend(job_cells(member))
-        return out
-    allocator = get_allocator(payload["allocator"])
-    target = payload["target"]
-    return [
-        allocate_cell_key(problem, allocator, target=target)
-        for _, problem in submission_problems(payload)
-    ]
+def _digest(document: Dict[str, Any]) -> str:
+    return hashlib.sha256(
+        json.dumps(document, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    ).hexdigest()
 
 
-def job_key(payload: Dict[str, Any], cells: Optional[List[CellKey]] = None) -> str:
+def job_key(payload: Dict[str, Any]) -> str:
     """The submission's idempotency key (see the module docstring).
 
-    A batch key digests the *sorted member keys*, so a resubmitted sweep
+    A member's key digests the store cells its problems resolve to.  A
+    batch key digests the *sorted member keys*, so a resubmitted sweep
     batch (same member submissions, any member order) collides with the
     original and dedupes against its pending/running/done result.
     """
-    if payload.get("kind") == "batch":
-        digest_input: Dict[str, Any] = {
-            "format": JOB_KEY_VERSION,
-            "batch": sorted(job_key(member) for member in payload["jobs"]),
-        }
-    else:
-        if cells is None:
-            cells = job_cells(payload)
-        digest_input = {
-            "format": JOB_KEY_VERSION,
-            "cells": [cell.to_dict() for cell in sorted(cells or [])],
-            "options": {"ssa": payload["ssa"], "opt": payload["opt"]},
-        }
-    return hashlib.sha256(
-        json.dumps(digest_input, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    ).hexdigest()
+    keys = []
+    for member, problems in zip(_members(payload), submission_problems(payload)):
+        allocator = get_allocator(member["allocator"])
+        cells = [allocate_cell_key(problem, allocator, target=member["target"]) for _, problem in problems]
+        keys.append(
+            _digest(
+                {
+                    "format": JOB_KEY_VERSION,
+                    "cells": [cell.to_dict() for cell in sorted(cells)],
+                    "options": {"ssa": member["ssa"], "opt": member["opt"]},
+                }
+            )
+        )
+    if payload.get("kind") != "batch":
+        return keys[0]
+    return _digest({"format": JOB_KEY_VERSION, "batch": sorted(keys)})
 
 
 def deterministic_summary(summary: Dict[str, Any]) -> Dict[str, Any]:
@@ -356,36 +416,44 @@ def execute_job(payload: Dict[str, Any], store: Any) -> Dict[str, Any]:
     A batch payload executes its members in submission order (cache-first,
     like any single job) and returns ``{"jobs": [{"name", "functions",
     "records", "meta"}, ...], "meta": {...}}`` with the member cache splits
-    and stage seconds aggregated into the batch-level ``meta``.
+    and stage seconds aggregated into the batch-level ``meta``.  Graph
+    members with the same name, graph and intervals run on clones of one
+    problem, so each distinct graph is built and analysed once per batch.
     """
-    if payload.get("kind") == "batch":
-        member_results: List[Dict[str, Any]] = []
-        cache = {"hit": 0, "miss": 0, "off": 0}
-        stage_seconds: Dict[str, float] = {}
-        for member in payload["jobs"]:
-            result = execute_job(member, store)
-            member_results.append({"name": member["name"], **result})
-            for mode, count in result["meta"]["cache"].items():
-                cache[mode] = cache.get(mode, 0) + count
-            for stage, seconds in result["meta"]["stage_seconds"].items():
-                stage_seconds[stage] = stage_seconds.get(stage, 0.0) + seconds
-        return {
-            "jobs": member_results,
-            "meta": {
-                "jobs": len(member_results),
-                "cache": cache,
-                "stage_seconds": {k: round(v, 6) for k, v in sorted(stage_seconds.items())},
-            },
-        }
+    members = _members(payload)
+    results = [
+        _execute_member(member, problem, store)
+        for member, problem in zip(members, _graph_problems(members))
+    ]
+    if payload.get("kind") != "batch":
+        return results[0]
+    cache = {"hit": 0, "miss": 0, "off": 0}
+    stage_seconds: Dict[str, float] = {}
+    for result in results:
+        for mode, count in result["meta"]["cache"].items():
+            cache[mode] = cache.get(mode, 0) + count
+        for stage, seconds in result["meta"]["stage_seconds"].items():
+            stage_seconds[stage] = stage_seconds.get(stage, 0.0) + seconds
+    return {
+        "jobs": [{"name": member["name"], **result} for member, result in zip(members, results)],
+        "meta": {
+            "jobs": len(results),
+            "cache": cache,
+            "stage_seconds": {k: round(v, 6) for k, v in sorted(stage_seconds.items())},
+        },
+    }
 
+
+def _execute_member(
+    payload: Dict[str, Any], problem: Optional[AllocationProblem], store: Any
+) -> Dict[str, Any]:
+    """Run one member: its graph ``problem``, or every function of its IR."""
     pipeline = Pipeline(_payload_spec(payload), store=store)
-    contexts = []
-    if payload["kind"] == "graph":
-        contexts.append(pipeline.run_problem(_graph_problem(payload)))
+    if problem is not None:
+        contexts = [pipeline.run_problem(problem)]
     else:
         module = parse_module(payload["ir"], name=payload["name"])
-        for function in module:
-            contexts.append(pipeline.run(function))
+        contexts = [pipeline.run(function) for function in module]
 
     functions: List[Dict[str, Any]] = []
     records: List[Dict[str, Any]] = []

@@ -27,11 +27,19 @@ A *job* is one allocation request travelling through the durable queue
 
 States only ever move left-to-right in the diagram; ``done``, ``failed``
 and ``dead`` are terminal.
+
+A job row stores its payload and result as JSON text.  A batch payload
+runs to megabytes, and polls and listings read rows far more often than a
+worker runs them, so a :class:`Job` decodes :attr:`Job.payload` and
+:attr:`Job.result` only when a caller first reads them.  What a listing
+shows of the payload (:data:`SUMMARY_FIELDS`) is stored beside it as
+:attr:`Job.summary`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
@@ -50,6 +58,8 @@ TERMINAL_STATES: Tuple[str, ...] = (DONE, FAILED, DEAD)
 #: ``failed``/``dead`` jobs do *not* dedupe, so a fixed input can be
 #: resubmitted after a failure.
 DEDUPE_STATES: Tuple[str, ...] = (PENDING, RUNNING, DONE)
+#: the payload fields :meth:`Job.to_dict` shows, kept in :attr:`Job.summary`.
+SUMMARY_FIELDS: Tuple[str, ...] = ("name", "allocator", "registers", "target")
 
 
 @dataclass(frozen=True)
@@ -83,10 +93,15 @@ class Job:
     #: submissions.  The default ``""`` groups untagged submissions into one
     #: shared client, which degenerates to the pre-fairness claim order.
     client: str = ""
-    #: the submission payload (validated by :mod:`repro.service.api`).
-    payload: Dict[str, Any] = dataclasses.field(default_factory=dict)
-    #: the outcome of a ``done`` job (see ``api.execute_job``).
-    result: Optional[Dict[str, Any]] = None
+    #: the payload's :data:`SUMMARY_FIELDS` (see :func:`payload_summary`),
+    #: written beside the payload at enqueue so reads never decode it.
+    summary: Dict[str, Any] = dataclasses.field(default_factory=dict)
+    #: the stored submission payload (validated by :mod:`repro.service.api`)
+    #: as JSON text; :attr:`payload` decodes it.
+    payload_json: str = "{}"
+    #: the stored result of a ``done`` job as JSON text; :attr:`result`
+    #: decodes it.
+    result_json: Optional[str] = None
     #: the failure message of a ``failed``/``dead`` job (or the error of the
     #: most recent attempt while retries are still pending).
     error: Optional[str] = None
@@ -94,6 +109,17 @@ class Job:
     @property
     def terminal(self) -> bool:
         return self.state in TERMINAL_STATES
+
+    @functools.cached_property
+    def payload(self) -> Dict[str, Any]:
+        """The submission payload, decoded on first read."""
+        return loads_payload(self.payload_json)
+
+    @functools.cached_property
+    def result(self) -> Optional[Dict[str, Any]]:
+        """The outcome of a ``done`` job (see ``api.execute_job``), decoded
+        on first read."""
+        return None if self.result_json is None else loads_payload(self.result_json)
 
     def to_dict(self, *, include_result: bool = True) -> Dict[str, Any]:
         """JSON form served by ``GET /v1/jobs/<id>`` (and the CLI)."""
@@ -109,10 +135,10 @@ class Job:
             "updated_at": self.updated_at,
             "claimed_by": self.claimed_by,
             "client": self.client,
-            "name": self.payload.get("name"),
-            "allocator": self.payload.get("allocator"),
-            "registers": self.payload.get("registers"),
-            "target": self.payload.get("target"),
+            "name": self.summary.get("name"),
+            "allocator": self.summary.get("allocator"),
+            "registers": self.summary.get("registers"),
+            "target": self.summary.get("target"),
             "error": self.error,
         }
         if include_result:
@@ -123,3 +149,13 @@ class Job:
 def dumps_payload(payload: Dict[str, Any]) -> str:
     """Canonical JSON used for queue storage (sorted keys, compact)."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def loads_payload(text: str) -> Any:
+    """Decode a stored payload or result (the inverse of :func:`dumps_payload`)."""
+    return json.loads(text)
+
+
+def payload_summary(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """The :data:`SUMMARY_FIELDS` of a payload (``None`` where absent)."""
+    return {field: payload.get(field) for field in SUMMARY_FIELDS}

@@ -32,13 +32,22 @@ Telemetry: operations count ``queue.enqueued`` / ``queue.deduped`` /
 ``queue:claim`` span, into the tracer given at construction (or the
 ambient one).
 
+Decode on read: a row's payload and result are JSON text, and a
+returned :class:`~repro.service.jobs.Job` decodes them only when a caller
+reads :attr:`~repro.service.jobs.Job.payload` or
+:attr:`~repro.service.jobs.Job.result`.  Only :meth:`JobQueue.claim`,
+which hands the job to a worker, decodes the payload; polls and listings
+show the payload's name, allocator, registers and target from the small
+``summary`` column written at enqueue.  Queue files created before that
+column existed gain it when opened, with every existing row backfilled
+once, the way the ``client`` column was added.
+
 The queue is thread-safe: one connection guarded by a lock, so the HTTP
 handler threads and the worker pool share a single :class:`JobQueue`.
 """
 
 from __future__ import annotations
 
-import json
 import sqlite3
 import threading
 import time
@@ -57,6 +66,8 @@ from repro.service.jobs import (
     RUNNING,
     Job,
     dumps_payload,
+    loads_payload,
+    payload_summary,
 )
 from repro.telemetry.tracer import current_tracer
 
@@ -76,7 +87,8 @@ CREATE TABLE IF NOT EXISTS jobs (
     payload      TEXT    NOT NULL,
     result       TEXT,
     error        TEXT,
-    client       TEXT    NOT NULL DEFAULT ''
+    client       TEXT    NOT NULL DEFAULT '',
+    summary      TEXT
 );
 CREATE TABLE IF NOT EXISTS clients (
     client          TEXT PRIMARY KEY,
@@ -88,7 +100,7 @@ CREATE INDEX IF NOT EXISTS jobs_key_idx ON jobs (job_key, state);
 
 _COLUMNS = (
     "seq, id, job_key, state, priority, attempts, max_attempts, "
-    "not_before, created_at, updated_at, claimed_by, payload, result, error, client"
+    "not_before, created_at, updated_at, claimed_by, payload, result, error, client, summary"
 )
 
 
@@ -109,6 +121,7 @@ def _row_to_job(row: tuple) -> Job:
         result,
         error,
         client,
+        summary,
     ) = row
     return Job(
         id=job_id,
@@ -123,8 +136,10 @@ def _row_to_job(row: tuple) -> Job:
         seq=int(seq),
         claimed_by=claimed_by,
         client=str(client or ""),
-        payload=json.loads(payload),
-        result=json.loads(result) if result is not None else None,
+        # A row enqueued by a process that predates the summary column.
+        summary=payload_summary(loads_payload(payload)) if summary is None else loads_payload(summary),
+        payload_json=payload,
+        result_json=result,
         error=error,
     )
 
@@ -183,6 +198,17 @@ class JobQueue:
         columns = {row[1] for row in self._conn.execute("PRAGMA table_info(jobs)")}
         if "client" not in columns:
             self._conn.execute("ALTER TABLE jobs ADD COLUMN client TEXT NOT NULL DEFAULT ''")
+        # Likewise the summary column, and each existing row's summary is
+        # backfilled from its payload once, one payload in memory at a time.
+        if "summary" not in columns:
+            self._conn.execute("BEGIN")
+            self._conn.execute("ALTER TABLE jobs ADD COLUMN summary TEXT")
+            for (seq,) in self._conn.execute("SELECT seq FROM jobs").fetchall():
+                (payload,) = self._conn.execute("SELECT payload FROM jobs WHERE seq=?", (seq,)).fetchone()
+                self._conn.execute(
+                    "UPDATE jobs SET summary=? WHERE seq=?",
+                    (dumps_payload(payload_summary(loads_payload(payload))), seq),
+                )
         self._conn.commit()
 
     # ------------------------------------------------------------------ #
@@ -239,16 +265,16 @@ class JobQueue:
                 if tracer.enabled:
                     tracer.count("queue.deduped")
                 return _row_to_job(row), True
-            job_id = uuid.uuid4().hex[:16]
-            self._conn.execute(
+            row = self._conn.execute(
                 "INSERT INTO jobs (id, job_key, state, priority, attempts, max_attempts,"
-                " not_before, created_at, updated_at, payload, client)"
-                " VALUES (?, ?, ?, ?, 0, ?, 0.0, ?, ?, ?, ?)",
-                (job_id, job_key, PENDING, int(priority), attempts, stamp, stamp,
-                 dumps_payload(payload), str(client or "")),
-            )
+                " not_before, created_at, updated_at, payload, client, summary)"
+                " VALUES (?, ?, ?, ?, 0, ?, 0.0, ?, ?, ?, ?, ?)"
+                f" RETURNING {_COLUMNS}",
+                (uuid.uuid4().hex[:16], job_key, PENDING, int(priority), attempts, stamp, stamp,
+                 dumps_payload(payload), str(client or ""), dumps_payload(payload_summary(payload))),
+            ).fetchone()
             self._conn.commit()
-            job = self._get_locked(job_id)
+        job = _row_to_job(row)
         if tracer.enabled:
             tracer.count("queue.enqueued")
         return job, False
@@ -295,15 +321,18 @@ class JobQueue:
                     f" RETURNING {_COLUMNS}",
                     (RUNNING, worker, stamp, PENDING, stamp, stamp, self.aging_seconds, PENDING),
                 ).fetchone()
-                if row is not None:
+                job = _row_to_job(row) if row is not None else None
+                if job is not None:
                     self._conn.execute(
                         "INSERT INTO clients (client, last_claimed_at) VALUES (?, ?)"
                         " ON CONFLICT(client) DO UPDATE"
                         " SET last_claimed_at=excluded.last_claimed_at",
-                        (str(row[-1] or ""), stamp),
+                        (job.client, stamp),
                     )
                 self._conn.commit()
-            job = _row_to_job(row) if row is not None else None
+            if job is not None:
+                # The one read that decodes the payload: the worker runs it.
+                _ = job.payload
         finally:
             if span is not None:
                 span.set(claimed=job.id if row is not None else "")
@@ -322,19 +351,19 @@ class JobQueue:
         """Transition a running job to ``done`` with its result."""
         stamp = self._now(now)
         with self._lock:
-            cursor = self._conn.execute(
+            row = self._conn.execute(
                 "UPDATE jobs SET state=?, result=?, error=NULL, updated_at=?"
-                " WHERE id=? AND state=?",
+                f" WHERE id=? AND state=? RETURNING {_COLUMNS}",
                 (DONE, dumps_payload(result), stamp, job_id, RUNNING),
-            )
+            ).fetchone()
             self._conn.commit()
-            if cursor.rowcount != 1:
+            if row is None:
                 job = self._get_locked(job_id)
                 raise QueueError(
                     f"cannot complete job {job_id!r}: "
                     + ("unknown job" if job is None else f"state is {job.state!r}, not running")
                 )
-            job = self._get_locked(job_id)
+        job = _row_to_job(row)
         tracer = self.tracer()
         if tracer.enabled:
             tracer.count("queue.completed")

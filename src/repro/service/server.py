@@ -12,10 +12,12 @@ POST      ``/v1/jobs``           submit (201 created, 200 deduped,
                                  400 malformed)
 POST      ``/v1/batches``        submit a multi-submission batch, claimed
                                  as one unit by a single worker (same
-                                 status codes as ``/v1/jobs``)
+                                 status codes as ``/v1/jobs``); members
+                                 with the same graph share one problem
 GET       ``/v1/jobs/<id>``      one job (404 unknown)
 GET       ``/v1/jobs``           newest-first listing (``?state=``,
-                                 ``?limit=``)
+                                 ``?limit=``, an integer >= 1; 400
+                                 otherwise)
 GET       ``/v1/stats``          queue depths, cache hit/miss split,
                                  per-stage seconds, queue counters
 GET       ``/healthz``           liveness probe
@@ -234,7 +236,7 @@ def _make_handler(service: AllocationService) -> type:
                 elif parts == ["v1", "jobs"]:
                     query = parse_qs(parsed.query)
                     state = query.get("state", [None])[0]
-                    limit = int(query.get("limit", ["100"])[0])
+                    limit = api.listing_limit(query.get("limit", ["100"])[0])
                     jobs = service.queue.list_jobs(state=state, limit=limit)
                     self._send_json(
                         200,
@@ -242,7 +244,7 @@ def _make_handler(service: AllocationService) -> type:
                     )
                 else:
                     self._send_json(404, {"error": f"no such endpoint {parsed.path!r}"})
-            except (ServiceError, ValueError) as error:
+            except ServiceError as error:
                 self._send_json(400, {"error": str(error)})
 
         def do_POST(self) -> None:  # noqa: N802 - http.server contract

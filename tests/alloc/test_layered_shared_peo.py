@@ -30,6 +30,7 @@ from repro.graphs.generators import random_chordal_graph, random_interval_graph
 from repro.graphs.graph import Graph
 from repro.graphs.stable_set import brute_force_max_weight_stable_set, is_stable_set
 from repro.workloads.corpus import build_corpus
+from tests.conftest import count_calls
 
 N_PROPERTY_GRAPHS = 200
 MAX_VERTICES = 18
@@ -173,24 +174,6 @@ def test_shared_cache_carries_across_register_sweep():
     assert clone.derived("marker", lambda: object()) is derived
 
 
-def _count_calls(monkeypatch, module, name):
-    """Count calls of ``module.name`` through every ``repro`` module that
-    imported it by name (so ``from x import f`` call sites count too)."""
-    import sys
-
-    original = getattr(module, name)
-    calls = {"n": 0}
-
-    def counting(*args, **kwargs):
-        calls["n"] += 1
-        return original(*args, **kwargs)
-
-    for module_name, loaded in list(sys.modules.items()):
-        if module_name.split(".")[0] == "repro" and getattr(loaded, name, None) is original:
-            monkeypatch.setattr(loaded, name, counting)
-    return calls
-
-
 def test_register_sweep_certifies_chordality_and_cliques_once(monkeypatch):
     """36 verified cells of one problem (6 allocators x 6 R) share one MCS,
     one PEO check and one clique enumeration through the derived cache."""
@@ -199,9 +182,9 @@ def test_register_sweep_certifies_chordality_and_cliques_once(monkeypatch):
     from repro.graphs import chordal, cliques
 
     problem = build_corpus("eembc", seed=2013, scale=0.2).problems[0]
-    mcs = _count_calls(monkeypatch, chordal, "maximum_cardinality_search")
-    peo_checks = _count_calls(monkeypatch, chordal, "is_perfect_elimination_order")
-    enumerations = _count_calls(monkeypatch, cliques, "maximal_cliques_chordal")
+    mcs = count_calls(monkeypatch, chordal, "maximum_cardinality_search")
+    peo_checks = count_calls(monkeypatch, chordal, "is_perfect_elimination_order")
+    enumerations = count_calls(monkeypatch, cliques, "maximal_cliques_chordal")
     cells = [(r, name) for r in CHORDAL_REGISTER_COUNTS for name in CHORDAL_ALLOCATORS]
     assert len(cells) == 36
     records = run_cells(problem, cells, verify=True)
@@ -220,7 +203,7 @@ def test_pipeline_runs_one_mcs_and_never_materialises_sets(monkeypatch):
 
     profile = GeneratorProfile(statements=240, accumulators=20, loop_depth=4)
     function = generate_function("count240", profile, rng=random.Random(240))
-    mcs = _count_calls(monkeypatch, chordal, "maximum_cardinality_search")
+    mcs = count_calls(monkeypatch, chordal, "maximum_cardinality_search")
     calls = {"subgraph": 0, "materialize": 0}
     for cls in (Graph, DenseGraph):
         original_subgraph = cls.subgraph

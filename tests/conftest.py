@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -15,6 +16,22 @@ def front_end_problem(function, target="st231", ssa=True, name=None):
     """``function``'s allocation problem from the pipeline's front-end stages."""
     pipeline = Pipeline.from_spec(target=target, ssa=ssa, stages="liveness,interference,extract")
     return pipeline.run(function, name=name).problem
+
+
+def count_calls(monkeypatch, module, name):
+    """Count calls of ``module.name`` through every ``repro`` module that
+    imported it by name (so ``from x import f`` call sites count too)."""
+    original = getattr(module, name)
+    calls = {"n": 0}
+
+    def counting(*args, **kwargs):
+        calls["n"] += 1
+        return original(*args, **kwargs)
+
+    for module_name, loaded in list(sys.modules.items()):
+        if module_name.split(".")[0] == "repro" and getattr(loaded, name, None) is original:
+            monkeypatch.setattr(loaded, name, counting)
+    return calls
 
 
 def build_paper_figure4_graph() -> Graph:

@@ -8,15 +8,19 @@ allocation services, with warm reruns costing zero allocator calls.
 """
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
 from repro.alloc.constraints import ProblemConstraints
 from repro.alloc.problem import AllocationProblem
+from repro.analysis.live_ranges import LiveInterval
 from repro.errors import ServiceError
 from repro.experiments.backends import LocalPoolBackend, ServiceBackend
 from repro.experiments.runner import ExperimentConfig, run_experiment
-from repro.graphs.generators import random_chordal_graph
+from repro.graphs.dense import DenseGraph
+from repro.graphs.generators import random_chordal_graph, random_interval_graph
 from repro.service.server import AllocationService
 from repro.store import open_store
 from repro.telemetry import Tracer, use_tracer
@@ -99,7 +103,54 @@ def test_service_backend_rejects_constrained_problems():
         constraints=ProblemConstraints(registers=("r0", "r1", "r2", "r3")),
     )
     with pytest.raises(ServiceError, match="constrained"):
-        backend._submission(problem, (4, "NL"))
+        backend._submissions(problem, [(4, "NL")])
+
+
+class _StopSweep(Exception):
+    pass
+
+
+class _RecordingClient:
+    """Keeps each batch body as ``ServiceClient`` puts it on the wire, and
+    ends the sweep at its first poll (every batch is posted before any)."""
+
+    def __init__(self):
+        self.sent = []
+
+    def submit_batch(self, body):
+        self.sent.append(json.dumps(body).encode("utf-8"))
+        return {"job": {"id": f"job-{len(self.sent)}"}, "deduped": False}
+
+    def wait(self, job_id, timeout):
+        raise _StopSweep(job_id)
+
+
+#: SHA-256 of the request bodies of the two-instance plan below, one per
+#: line, as sent when every cell encoded its own graph.
+TWO_INSTANCE_REQUESTS = "b4ca7bdcfa0d96ec24c4f981f630513690a33e6565b536884e9e16d9ed2fa714"
+
+
+def test_service_backend_request_bytes_pinned_by_value():
+    # Dense rows list edges in a fixed order; adjacency sets of string
+    # vertices iterate in an order that varies with the hash seed.
+    chordal = AllocationProblem(graph=DenseGraph.from_graph(random_chordal_graph(14, rng=0)), num_registers=4, name="p0")
+    graph, intervals = random_interval_graph(12, rng=7, span=30, max_length=8)
+    with_intervals = AllocationProblem(
+        graph=DenseGraph.from_graph(graph),
+        num_registers=4,
+        name="spans",
+        intervals=[LiveInterval(str(v), start, end) for v, (start, end) in sorted(intervals.items(), key=str)],
+    )
+    plan = [
+        (0, chordal, "prog-a", [(2, "NL"), (4, "NL"), (2, "Optimal")]),
+        (1, with_intervals, "prog-b", [(2, "NL"), (3, "BFPL"), (3, "LS")]),
+    ]
+    client = _RecordingClient()
+    backend = ServiceBackend(["http://127.0.0.1:1"], batch_size=4, client_factory=lambda url: client)
+    with pytest.raises(_StopSweep):
+        backend.run_plan(plan, _config(), lambda index, pairs: None)
+    assert len(client.sent) == 2
+    assert hashlib.sha256(b"\n".join(client.sent)).hexdigest() == TWO_INSTANCE_REQUESTS
 
 
 # ---------------------------------------------------------------------- #

@@ -4,12 +4,15 @@
   (order-insensitive over member keys);
 * :func:`execute_job` recursion over batch members, with the new
   ``records`` payload every member result carries;
+* shared graph problems: members with the same graph build it once for
+  the key and once at execution, with keys and results unchanged;
 * end-to-end batch over HTTP: one queue job, claimed as a unit, member
   results in submission order;
 * per-client fairness: a flood from one client cannot starve another
   client's single job;
 * schema migration: a queue database created before the ``client`` column
-  existed opens and claims cleanly.
+  existed opens and claims cleanly, and one created before the ``summary``
+  column serves the same job JSON.
 """
 
 from __future__ import annotations
@@ -20,6 +23,10 @@ import time
 import pytest
 
 from repro.errors import ServiceError
+from repro.graphs import chordal
+from repro.graphs.generators import random_chordal_graph, random_interval_graph
+from repro.graphs.io import graph_to_dict
+from repro.service import api
 from repro.service.api import (
     MAX_BATCH_JOBS,
     execute_job,
@@ -27,11 +34,12 @@ from repro.service.api import (
     normalize_batch,
     normalize_submission,
 )
-from repro.service.jobs import PENDING
+from repro.service.jobs import DONE, PENDING, dumps_payload
 from repro.service.queue import JobQueue
 from repro.service.server import AllocationService
 from repro.service.client import ServiceClient
 from repro.store import open_store
+from tests.conftest import count_calls
 
 IR = """\
 func @f(%a, %b) {
@@ -115,6 +123,63 @@ def test_single_job_results_now_carry_records(tmp_path):
     record = result["records"][0]
     assert record["allocator"] == "NL"
     assert record["num_registers"] == 4
+
+
+# ---------------------------------------------------------------------- #
+# shared graph problems
+# ---------------------------------------------------------------------- #
+def _graph_batch():
+    """Twelve graph members over two graphs, interleaved: each graph under
+    NL and BFPL at R = 2, 3 and 4.  The second graph carries intervals."""
+    first = graph_to_dict(random_chordal_graph(18, rng=3), name="first")
+    graph, intervals = random_interval_graph(16, rng=5, span=40, max_length=10)
+    second = graph_to_dict(graph, name="second")
+    wire = [[str(v), start, end] for v, (start, end) in sorted(intervals.items(), key=lambda item: str(item[0]))]
+    members = []
+    for registers in (2, 3, 4):
+        for allocator in ("NL", "BFPL"):
+            members.append({"graph": first, "registers": registers, "allocator": allocator})
+            members.append({"graph": second, "intervals": wire, "registers": registers, "allocator": allocator})
+    return normalize_batch({"jobs": members, "name": "shared"})
+
+
+#: the key of ``_graph_batch()``, computed when every member built its own graph.
+GRAPH_BATCH_KEY = "cbade35df74a1e0f23b713c02088796e6fb8e106d3b5d856d7fad4ef152b3305"
+
+
+def test_batch_builds_each_distinct_graph_once_per_phase(tmp_path, monkeypatch):
+    payload = _graph_batch()
+    builds = count_calls(monkeypatch, api, "graph_from_dict")
+    mcs = count_calls(monkeypatch, chordal, "maximum_cardinality_search")
+    job_key(payload)
+    assert (builds["n"], mcs["n"]) == (2, 0)
+    with open_store(tmp_path / "cells.sqlite") as store:
+        result = execute_job(payload, store)
+    assert (builds["n"], mcs["n"]) == (4, 2)
+    assert result["meta"]["cache"] == {"hit": 0, "miss": 12, "off": 0}
+
+
+def test_shared_problems_keep_the_batch_key_and_member_results(tmp_path):
+    payload = _graph_batch()
+    assert job_key(payload) == GRAPH_BATCH_KEY
+    with open_store(tmp_path / "batch.sqlite") as store:
+        batch = execute_job(payload, store)
+    for position, member in enumerate(payload["jobs"]):
+        with open_store(tmp_path / f"alone-{position}.sqlite") as store:
+            alone = execute_job(member, store)
+        shared = batch["jobs"][position]
+        assert shared["name"] == member["name"]
+        assert (shared["functions"], shared["records"]) == (alone["functions"], alone["records"])
+
+
+def test_malformed_member_graph_keeps_its_submit_error():
+    document = graph_to_dict(random_chordal_graph(6, rng=1), name="g")
+    broken = {**document, "edges": document["edges"] + [["g0", "nowhere"]]}
+    payload = normalize_batch(
+        {"jobs": [{"graph": document, "registers": 2}, {"graph": broken, "registers": 2}]}
+    )
+    with pytest.raises(ServiceError, match=r"^invalid submission: edge \('g0', 'nowhere'\) references unknown vertex$"):
+        job_key(payload)
 
 
 # ---------------------------------------------------------------------- #
@@ -240,10 +305,93 @@ def test_pre_client_queue_database_migrates(tmp_path):
 
     queue = JobQueue(path)
     try:
+        assert queue.get("old-1").to_dict()["name"] == "legacy"
         job = queue.claim("w0")
         assert job is not None
         assert job.id == "old-1"
         assert job.client == ""
         queue.complete(job.id, {"ok": True})
+    finally:
+        queue.close()
+
+
+#: the ``jobs`` table of queue files written before the ``summary`` column.
+PRE_SUMMARY_SCHEMA = """
+CREATE TABLE jobs (
+    seq          INTEGER PRIMARY KEY AUTOINCREMENT,
+    id           TEXT    NOT NULL UNIQUE,
+    job_key      TEXT    NOT NULL,
+    state        TEXT    NOT NULL,
+    priority     INTEGER NOT NULL DEFAULT 0,
+    attempts     INTEGER NOT NULL DEFAULT 0,
+    max_attempts INTEGER NOT NULL DEFAULT 3,
+    not_before   REAL    NOT NULL DEFAULT 0.0,
+    created_at   REAL    NOT NULL,
+    updated_at   REAL    NOT NULL,
+    claimed_by   TEXT,
+    payload      TEXT    NOT NULL,
+    result       TEXT,
+    error        TEXT,
+    client       TEXT    NOT NULL DEFAULT ''
+);
+"""
+
+
+def test_pre_summary_queue_database_serves_the_same_job_json(tmp_path):
+    """Rows written before the summary column gain it on open and serve the
+    job JSON the parent schema served."""
+    path = tmp_path / "old.sqlite"
+    single = normalize_submission({"ir": IR, "name": "single", "registers": 3})
+    batch = normalize_batch({"jobs": [_member("a"), _member("b", registers=2)], "name": "sweep-00"})
+    result = {"functions": [], "records": [], "meta": {"cache": {"hit": 1}}}
+    conn = sqlite3.connect(path)
+    conn.executescript(PRE_SUMMARY_SCHEMA)
+    conn.executemany(
+        "INSERT INTO jobs (id, job_key, state, attempts, created_at, updated_at, claimed_by, payload, result, client)"
+        " VALUES (?, ?, ?, ?, 10.0, 11.0, ?, ?, ?, ?)",
+        [
+            ("single-1", "k1", DONE, 1, "worker-0", dumps_payload(single), dumps_payload(result), "cli"),
+            ("batch-1", "k2", PENDING, 0, None, dumps_payload(batch), None, "sweep"),
+        ],
+    )
+    conn.commit()
+    conn.close()
+
+    common = {"priority": 0, "max_attempts": 3, "not_before": 0.0, "created_at": 10.0,
+              "updated_at": 11.0, "error": None}
+    expected = {
+        "single-1": {**common, "id": "single-1", "job_key": "k1", "state": DONE, "attempts": 1,
+                     "claimed_by": "worker-0", "client": "cli", "name": "single", "allocator": "NL",
+                     "registers": 3, "target": "st231", "result": result},
+        "batch-1": {**common, "id": "batch-1", "job_key": "k2", "state": PENDING, "attempts": 0,
+                    "claimed_by": None, "client": "sweep", "name": "sweep-00", "allocator": None,
+                    "registers": None, "target": None, "result": None},
+    }
+    for _ in range(2):  # the first open migrates, the second finds nothing to do
+        queue = JobQueue(path)
+        try:
+            for job_id, served in expected.items():
+                assert queue.get(job_id).to_dict() == served
+            listing = [job.to_dict(include_result=False) for job in queue.list_jobs()]
+            assert listing == [
+                {k: v for k, v in expected[job_id].items() if k != "result"}
+                for job_id in ("batch-1", "single-1")
+            ]
+        finally:
+            queue.close()
+    with sqlite3.connect(path) as conn:
+        summaries = dict(conn.execute("SELECT id, summary FROM jobs"))
+        # A process that predates the column, sharing the file, inserts no summary.
+        conn.execute(
+            "INSERT INTO jobs (id, job_key, state, created_at, updated_at, payload)"
+            " VALUES ('late-1', 'k3', ?, 12.0, 12.0, ?)",
+            (PENDING, dumps_payload(single)),
+        )
+    assert sorted(summaries) == ["batch-1", "single-1"]
+    assert None not in summaries.values()
+    queue = JobQueue(path)
+    try:
+        late = queue.get("late-1").to_dict(include_result=False)
+        assert (late["name"], late["allocator"], late["registers"]) == ("single", "NL", 3)
     finally:
         queue.close()

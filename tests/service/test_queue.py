@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
 
 from repro.errors import QueueError, ServiceError
-from repro.service.jobs import DEAD, DONE, FAILED, PENDING, RUNNING
+from repro.service import jobs
+from repro.service.jobs import DEAD, DONE, FAILED, PENDING, RUNNING, dumps_payload
 from repro.service.queue import JobQueue
 from repro.telemetry import Tracer
 
@@ -146,6 +148,51 @@ def test_aging_prevents_starvation(tmp_path):
     assert q.claim("w").id == old_low.id
     assert q.claim("w").id == fresh_high.id
     q.close()
+
+
+# ---------------------------------------------------------------------- #
+# decode on read
+# ---------------------------------------------------------------------- #
+def test_only_claim_decodes_the_stored_payload(queue, monkeypatch):
+    """Polls, listings, enqueues (new and deduplicated) and completions
+    leave the stored payload and result undecoded; a claim decodes the
+    payload once, for the worker."""
+    decoded = []
+    original = jobs.loads_payload
+
+    def recording(text):
+        decoded.append(text)
+        return original(text)
+
+    for loaded in [module for name, module in sys.modules.items() if name.split(".")[0] == "repro"]:
+        if getattr(loaded, "loads_payload", None) is original:
+            monkeypatch.setattr(loaded, "loads_payload", recording)
+
+    payload = {"kind": "graph", "name": "big", "allocator": "NL", "registers": 4, "target": None,
+               "graph": {"vertices": [{"id": f"v{i}", "weight": 1.0} for i in range(500)]}}
+    result = {"functions": [{"spilled": [f"v{i}" for i in range(250)]}]}
+    stored = {dumps_payload(payload), dumps_payload(result)}
+
+    job, deduped = queue.enqueue(payload, job_key="k")
+    again, deduped_again = queue.enqueue(payload, job_key="k")
+    assert (deduped, deduped_again, again.id) == (False, True, job.id)
+    polled = queue.get(job.id).to_dict()
+    listed = [listed.to_dict(include_result=False) for listed in queue.list_jobs()]
+    assert (polled["name"], polled["registers"], listed[0]["allocator"]) == ("big", 4, "NL")
+    assert stored.isdisjoint(decoded)
+
+    claimed = queue.claim("w0")
+    assert decoded.count(dumps_payload(payload)) == 1
+    assert claimed.payload == payload
+    assert decoded.count(dumps_payload(payload)) == 1  # decoded once, at the claim
+
+    done = queue.complete(job.id, result)
+    done.to_dict(include_result=False)
+    queue.get(job.id).to_dict(include_result=False)
+    queue.list_jobs(state=DONE)
+    assert dumps_payload(result) not in decoded
+    assert done.result == result
+    assert queue.get(job.id).to_dict()["result"] == result
 
 
 # ---------------------------------------------------------------------- #

@@ -170,3 +170,37 @@ def test_nan_weight_graph_is_http_400_and_queues_nothing(tmp_path):
             client.submit({"graph": document, "registers": 2, "allocator": ALLOCATOR})
         assert client.jobs() == []
         assert len(service.queue) == 0
+
+
+@pytest.mark.parametrize("limit", ["-1", "0", "abc", "2.5"])
+def test_listing_limit_below_one_or_not_an_integer_is_http_400(tmp_path, limit):
+    """SQLite reads a negative ``LIMIT`` as no limit: ``limit=-1`` must not
+    list every job."""
+    import urllib.error
+    import urllib.request
+
+    with AllocationService(tmp_path / "c.sqlite", tmp_path / "q.sqlite", workers=0) as service:
+        client = ServiceClient(service.url)
+        for registers in (2, 3, 4):
+            client.submit({"ir": "func @f(%a) {\nentry:\n  ret %a\n}\n", "registers": registers})
+        assert len(client.jobs(limit=2)) == 2
+        with pytest.raises(urllib.error.HTTPError) as raised:
+            urllib.request.urlopen(f"{service.url}/v1/jobs?limit={limit}", timeout=30)
+        assert raised.value.code == 400
+        assert json.loads(raised.value.read()) == {
+            "error": f"field 'limit' must be an integer >= 1, got {limit!r}"
+        }
+
+
+def test_cli_jobs_limit_below_one_is_one_error_line(tmp_path, capsys):
+    from repro.cli import main
+
+    with AllocationService(tmp_path / "c.sqlite", tmp_path / "q.sqlite", workers=0) as service:
+        ServiceClient(service.url).submit({"ir": "func @f(%a) {\nentry:\n  ret %a\n}\n", "registers": 2})
+        assert main(["jobs", "--url", service.url, "--limit", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("repro-alloc: error: ")
+    assert "field 'limit' must be an integer >= 1, got '-1'" in lines[0]
