@@ -2,9 +2,9 @@
 
 The store's value proposition is that the second sweep over an unchanged
 corpus is pure lookup — no allocator runs.  These benchmarks measure the
-cold (compute + persist) and warm (digest + fetch) paths for both backends
-and assert the warm path actually skips the allocators, so a regression in
-the cache-key computation (e.g. a digest that accidentally includes the
+cold (compute + persist) and warm (digest + fetch) paths of the store and
+assert the warm path actually skips the allocators, so a regression in the
+cache-key computation (e.g. a digest that accidentally includes the
 instance name or a timestamp) fails loudly rather than silently recomputing.
 """
 
@@ -27,22 +27,20 @@ def corpus():
     return build_corpus("lao_kernels", seed=2013, scale=0.5)
 
 
-@pytest.mark.parametrize("backend", ["sqlite", "jsonl"])
-def test_cold_sweep_with_store(benchmark, corpus, tmp_path_factory, backend):
-    root = tmp_path_factory.mktemp(f"cold_{backend}")
+def test_cold_sweep_with_store(benchmark, corpus, tmp_path_factory):
+    root = tmp_path_factory.mktemp("cold")
     counter = {"n": 0}
 
     def cold_sweep():
         counter["n"] += 1
-        with open_store(root / f"run{counter['n']}.{backend}") as store:
+        with open_store(root / f"run{counter['n']}.sqlite") as store:
             run_experiment(corpus, CONFIG, max_instances=MAX_INSTANCES, store=store)
 
     benchmark.pedantic(cold_sweep, rounds=3, iterations=1)
 
 
-@pytest.mark.parametrize("backend", ["sqlite", "jsonl"])
-def test_warm_sweep_is_pure_lookup(benchmark, corpus, tmp_path_factory, backend):
-    path = tmp_path_factory.mktemp(f"warm_{backend}") / f"store.{backend}"
+def test_warm_sweep_is_pure_lookup(benchmark, corpus, tmp_path_factory):
+    path = tmp_path_factory.mktemp("warm") / "store.sqlite"
     with open_store(path) as store:
         run_experiment(corpus, CONFIG, max_instances=MAX_INSTANCES, store=store)
 

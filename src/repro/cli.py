@@ -103,7 +103,7 @@ from repro.experiments.stats import mean_ratio_by, normalize_records
 from repro.graphs.io import load_graph
 from repro.ir.parser import parse_module
 from repro.pipeline import Pipeline, PipelineSpec
-from repro.store import open_store
+from repro.store import ExperimentStore, StoreFormatError, open_store
 from repro.targets import ALL_TARGETS
 from repro.telemetry import (
     Tracer,
@@ -232,12 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "pass's requires/preserves contracts (default off)"
         ),
     )
-    allocate.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="record a telemetry trace of the run (*.json Chrome trace, otherwise JSONL)",
-    )
+    _add_trace_argument(allocate, "run")
 
     check = subparsers.add_parser(
         "check", help="statically verify a textual IR module (machine-verifier)"
@@ -282,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = subparsers.add_parser(
         "sweep", help="run a sweep into a persistent experiment store (resumable)"
     )
-    sweep.add_argument("--store", required=True, help="store path (*.sqlite default, *.jsonl for JSONL)")
+    sweep.add_argument("--store", required=True, help="experiment store path (created if missing)")
     sweep.add_argument(
         "--figure",
         choices=sorted(FIGURE_SPECS),
@@ -302,34 +297,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--no-resume", action="store_true", help="recompute every cell (results still persisted)"
     )
-    sweep.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="record a telemetry trace of the sweep (*.json Chrome trace, otherwise JSONL)",
-    )
-    sweep.add_argument(
-        "--backend",
-        choices=("local", "service"),
-        default="local",
-        help="where missing cells execute: in process, or batched over running services",
-    )
-    sweep.add_argument(
-        "--endpoints",
-        default=None,
-        help="comma-separated service base URLs (required with --backend service)",
-    )
-    sweep.add_argument(
-        "--batch-size",
-        type=int,
-        default=32,
-        help="cells per service batch submission (service backend, default 32)",
-    )
-    sweep.add_argument(
-        "--client",
-        default="sweep",
-        help="client name for the service queue's per-client fairness (default 'sweep')",
-    )
+    _add_trace_argument(sweep, "sweep")
+    _add_execution_arguments(sweep, client="sweep")
     sweep.add_argument(
         "--corpus",
         type=int,
@@ -355,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--into", required=True, help="destination store path (created if missing)"
     )
     merge_batches_cmd.add_argument(
-        "sources", nargs="+", help="shard store paths (*.sqlite or *.jsonl, mixed freely)"
+        "sources", nargs="+", help="shard store paths (each must exist)"
     )
 
     reproduce = subparsers.add_parser(
@@ -367,23 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--figure", required=True, choices=sorted(FIGURE_SPECS), help="figure identifier"
     )
     reproduce.add_argument("--store", required=True, help="experiment store path")
-    reproduce.add_argument(
-        "--backend",
-        choices=("local", "service"),
-        default="local",
-        help="execution backend for missing cells (default local)",
-    )
-    reproduce.add_argument(
-        "--endpoints",
-        default=None,
-        help="comma-separated service base URLs (required with --backend service)",
-    )
-    reproduce.add_argument(
-        "--batch-size", type=int, default=32, help="cells per service batch submission"
-    )
-    reproduce.add_argument(
-        "--client", default="reproduce", help="client name for the service queue fairness"
-    )
+    _add_execution_arguments(reproduce, client="reproduce")
     reproduce.add_argument("--seed", type=int, default=2013)
     reproduce.add_argument("--scale", type=float, default=1.0, help="corpus scale factor")
     reproduce.add_argument("--max-instances", type=int, default=None)
@@ -394,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
     aggregate = subparsers.add_parser(
         "aggregate", help="summarize a store's records (no allocator runs)"
     )
-    aggregate.add_argument("--store", required=True)
+    aggregate.add_argument("--store", required=True, help="existing experiment store path")
     aggregate.add_argument(
         "--figure",
         choices=sorted(FIGURE_SPECS),
@@ -406,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "report", help="render a figure from a store (no allocator runs)"
     )
     report.add_argument("name", choices=sorted(FIGURE_SPECS), help="figure identifier")
-    report.add_argument("--store", required=True)
+    report.add_argument("--store", required=True, help="existing experiment store path")
     report.add_argument("--format", choices=("ascii", "markdown", "html"), default="markdown")
     report.add_argument("--output", default=None, help="write to this file instead of stdout")
 
@@ -478,12 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="replay the regression corpus instead of fuzzing fresh programs",
     )
-    oracle.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="record a telemetry trace of the campaign (*.json Chrome trace, otherwise JSONL)",
-    )
+    _add_trace_argument(oracle, "campaign")
 
     trace = subparsers.add_parser(
         "trace",
@@ -621,6 +569,56 @@ def _build_parser() -> argparse.ArgumentParser:
 
     subparsers.add_parser("list", help="list allocators, suites and targets")
     return parser
+
+
+def _add_trace_argument(parser: argparse.ArgumentParser, subject: str) -> None:
+    """``--trace PATH``, shared by allocate, sweep and oracle."""
+    parser.add_argument(
+        "--trace",
+        default=None,
+        metavar="PATH",
+        help=f"record a telemetry trace of the {subject} (*.json Chrome trace, otherwise JSONL)",
+    )
+
+
+def _add_execution_arguments(parser: argparse.ArgumentParser, client: str) -> None:
+    """The execution-backend flags shared by sweep and reproduce
+    (read by :func:`_resolve_execution_backend`)."""
+    parser.add_argument(
+        "--backend",
+        choices=("local", "service"),
+        default="local",
+        help="where missing cells execute: in process, or batched over running services",
+    )
+    parser.add_argument(
+        "--endpoints",
+        default=None,
+        help="comma-separated service base URLs (required with --backend service)",
+    )
+    parser.add_argument(
+        "--batch-size",
+        type=int,
+        default=32,
+        help="cells per service batch submission (service backend, default 32)",
+    )
+    parser.add_argument(
+        "--client",
+        default=client,
+        help=f"client name for the service queue's per-client fairness (default {client!r})",
+    )
+
+
+def _open_command_store(path: str, *, existing: bool = False) -> ExperimentStore:
+    """Open a command's ``--store``; with ``existing``, never create one.
+
+    Read-only commands pass ``existing`` so a mistyped path is an error
+    rather than a new empty store.  Either failure raises
+    :class:`~repro.store.StoreFormatError` naming the path, which
+    :func:`main` prints as one error line (exit 1).
+    """
+    if existing and not Path(path).is_file():
+        raise StoreFormatError(f"cannot use store {path}: no such file")
+    return open_store(path)
 
 
 def _allocate_spec(args: argparse.Namespace, is_graph: bool) -> PipelineSpec:
@@ -883,12 +881,14 @@ def _command_figure(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         else:
-            corpus = build_corpus(spec.suite, target=spec.target, seed=args.seed, scale=args.scale)
             config = ExperimentConfig(
                 allocators=list(spec.allocators),
                 register_counts=list(spec.register_counts),
             )
-            with open_store(args.store) as store:
+            with _open_command_store(args.store) as store:
+                corpus = build_corpus(
+                    spec.suite, target=spec.target, seed=args.seed, scale=args.scale
+                )
                 kwargs["records"] = run_experiment(
                     corpus, config, max_instances=args.max_instances, store=store
                 )
@@ -971,7 +971,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
     except ReproError as error:
         return _error(str(error))
     tracer = Tracer() if args.trace else None
-    with open_store(args.store) as store:
+    with _open_command_store(args.store) as store:
         with use_tracer(tracer) if tracer is not None else nullcontext():
             try:
                 if streamed:
@@ -1073,9 +1073,11 @@ def _command_reproduce(args: argparse.Namespace) -> int:
         execution = _resolve_execution_backend(args)
     except (ReproError, ValueError) as error:
         return _error(str(error))
-    corpus = build_corpus(spec.suite, target=spec.target, seed=args.seed, scale=args.scale)
     try:
-        with open_store(args.store) as store:
+        with _open_command_store(args.store) as store:
+            corpus = build_corpus(
+                spec.suite, target=spec.target, seed=args.seed, scale=args.scale
+            )
             records = run_experiment(
                 corpus,
                 config,
@@ -1144,7 +1146,7 @@ def _filter_records(records: Sequence[InstanceRecord], spec: FigureSpec) -> List
 
 def _command_aggregate(args: argparse.Namespace) -> int:
     """Summarize the store's records through the standard statistics."""
-    with open_store(args.store) as store:
+    with _open_command_store(args.store, existing=True) as store:
         records = store.records()
         manifests = store.manifests()
     suites = {FIGURE_SPECS[args.figure].suite} if args.figure else None
@@ -1177,7 +1179,7 @@ def _command_aggregate(args: argparse.Namespace) -> int:
 def _command_report(args: argparse.Namespace) -> int:
     """Render one figure from store records, without running any allocator."""
     spec = FIGURE_SPECS[args.name]
-    with open_store(args.store) as store:
+    with _open_command_store(args.store, existing=True) as store:
         records = _filter_records(store.records(), spec)
         manifests = store.manifests()
     mixed = _mixed_corpus_error(manifests, {spec.suite})
@@ -1278,7 +1280,7 @@ def _command_oracle(args: argparse.Namespace) -> int:
     tracer = Tracer() if args.trace else None
     try:
         if args.store is not None:
-            with open_store(args.store) as store:
+            with _open_command_store(args.store) as store:
                 result = run_campaign(
                     config, store=store, regressions_dir=regressions, tracer=tracer
                 )
@@ -1483,12 +1485,34 @@ def _command_jobs(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _command_list() -> int:
+def _command_list(args: argparse.Namespace) -> int:
     """List the registered allocators, suites and targets."""
     print("allocators:", ", ".join(available_allocators()))
     print("suites:    ", ", ".join(sorted(SUITES)))
     print("targets:   ", ", ".join(sorted(ALL_TARGETS)))
     return 0
+
+
+#: sub-command name -> handler; every handler returns the exit code.
+_COMMANDS = {
+    "allocate": _command_allocate,
+    "check": _command_check,
+    "figure": _command_figure,
+    "sweep": _command_sweep,
+    "merge-batches": _command_merge_batches,
+    "reproduce": _command_reproduce,
+    "aggregate": _command_aggregate,
+    "report": _command_report,
+    "corpus": _command_corpus,
+    "oracle": _command_oracle,
+    "trace": _command_trace,
+    "stats": _command_stats,
+    "bench-diff": _command_bench_diff,
+    "serve": _command_serve,
+    "submit": _command_submit,
+    "jobs": _command_jobs,
+    "list": _command_list,
+}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -1497,42 +1521,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "submit" and (args.input is None) == (args.batch is None):
         parser.error("submit needs exactly one of --input or --batch")
-    if args.command == "allocate":
-        return _command_allocate(args)
-    if args.command == "check":
-        return _command_check(args)
-    if args.command == "figure":
-        return _command_figure(args)
-    if args.command == "sweep":
-        return _command_sweep(args)
-    if args.command == "merge-batches":
-        return _command_merge_batches(args)
-    if args.command == "reproduce":
-        return _command_reproduce(args)
-    if args.command == "aggregate":
-        return _command_aggregate(args)
-    if args.command == "report":
-        return _command_report(args)
-    if args.command == "corpus":
-        return _command_corpus(args)
-    if args.command == "oracle":
-        return _command_oracle(args)
-    if args.command == "trace":
-        return _command_trace(args)
-    if args.command == "stats":
-        return _command_stats(args)
-    if args.command == "bench-diff":
-        return _command_bench_diff(args)
-    if args.command == "serve":
-        return _command_serve(args)
-    if args.command == "submit":
-        return _command_submit(args)
-    if args.command == "jobs":
-        return _command_jobs(args)
-    if args.command == "list":
-        return _command_list()
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_USAGE
+    try:
+        return _COMMANDS[args.command](args)
+    except StoreFormatError as error:
+        return _error(str(error))
 
 
 if __name__ == "__main__":  # pragma: no cover

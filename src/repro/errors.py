@@ -111,9 +111,17 @@ class TelemetryError(ReproError):
 
 class ServiceError(ReproError):
     """An allocation-service request is invalid or a service operation
-    failed (malformed submission, unreachable server, unsupported store
-    backend).  The HTTP front end renders these as 4xx responses; the CLI
-    as clean exit-1 messages."""
+    failed (malformed submission, unreachable server).  The HTTP front end
+    renders these as 4xx responses; the CLI as clean exit-1 messages."""
+
+
+class StoreFormatError(ReproError):
+    """A path cannot be opened as a SQLite experiment store (a directory,
+    a file that is not a SQLite database, an unwritable location).
+
+    Raised only while a store is being opened, and its message names the
+    path; SQLite errors on an open store (a locked database mid-sweep)
+    propagate as :class:`sqlite3.Error`."""
 
 
 class MergeConflictError(ReproError):

@@ -15,11 +15,7 @@ Attach an experiment store (path or open
 memoized under the store's ``(problem_digest, allocator, allocator_version,
 R)`` contract: a warm batch over an unchanged corpus performs **zero**
 allocator calls, and the cells it writes are the same ones
-``repro-alloc sweep`` reads.  One caveat: the zero-call guarantee holds for
-every serial run and for SQLite-backed parallel runs; a JSONL-backed
-*parallel* batch recomputes in its storeless workers (the parent then
-persists only cells the store does not already hold) — see
-:meth:`Pipeline.run_many`.
+``repro-alloc sweep`` reads.
 
 Batch runs shard round-robin over a
 :class:`~concurrent.futures.ProcessPoolExecutor` and reassemble the results
@@ -29,7 +25,6 @@ in input order, so ``jobs`` never changes the output.
 from __future__ import annotations
 
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Any, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -40,16 +35,12 @@ from repro.errors import PipelineError
 from repro.ir.function import Function
 from repro.ir.module import Module
 from repro.pipeline.context import PipelineContext
-from repro.pipeline.passes import Pass, allocate_cell_key, get_pass
+from repro.pipeline.passes import Pass, get_pass
 from repro.pipeline.spec import PipelineSpec
 from repro.store.base import ExperimentStore, open_store
 from repro.telemetry.tracer import Tracer, current_tracer, scalar_attrs, use_tracer
 
 StoreLike = Union[ExperimentStore, str, Path, None]
-
-#: store backends already warned about parent-side persistence (one warning
-#: per backend per process — see :meth:`Pipeline._warn_parent_persist`).
-_PARENT_PERSIST_WARNED: set = set()
 
 
 class Pipeline:
@@ -73,17 +64,12 @@ class Pipeline:
         self._explicit_tracer = tracer
         self._passes: List[Pass] = [get_pass(name) for name in self.spec.stage_chain()]
         self._store: Optional[ExperimentStore] = None
-        self._store_path: Optional[Path] = None
-        self._store_backend: Optional[str] = None
         self._owns_store = False
         if isinstance(store, (str, Path)):
             self._store = open_store(store)
             self._owns_store = True
         elif store is not None:
             self._store = store
-        if self._store is not None:
-            self._store_path = getattr(self._store, "path", None)
-            self._store_backend = getattr(self._store, "backend", None)
 
     # ------------------------------------------------------------------ #
     # construction
@@ -202,11 +188,8 @@ class Pipeline:
         reassembles the contexts in input order, so the output is identical
         to a serial run (modulo measured timings).  Workers share the
         allocate-stage cache through the store *file*: each opens its own
-        connection (SQLite handles the concurrent writers; the append-only
-        JSONL backend does not, so JSONL-backed parallel batches recompute
-        in storeless workers and the parent persists only the cells the
-        store does not already hold — warm JSONL batches should run
-        serially, or on SQLite, to get the zero-allocator-call guarantee).
+        connection to :attr:`ExperimentStore.path`, and SQLite handles the
+        concurrent writers.
 
         Workers rebuild the pass/allocator registries by importing the
         library, so custom passes and allocators used in a parallel batch
@@ -242,14 +225,10 @@ class Pipeline:
         for position, item in enumerate(items):
             shards[position % workers].append(item)
 
-        # SQLite stores are safe for one connection per worker; other setups
-        # compute storeless in the workers and persist through the parent.
         worker_store_path: Optional[str] = None
-        if self._store_backend == "sqlite" and self._store_path is not None:
+        if self._store is not None:
             self._store.flush()
-            worker_store_path = str(self._store_path)
-        elif self._store is not None:
-            self._warn_parent_persist()
+            worker_store_path = str(self._store.path)
 
         spec = self.spec
         indexed: List[Tuple[int, PipelineContext]] = []
@@ -273,86 +252,9 @@ class Pipeline:
         indexed.sort(key=lambda pair: pair[0])
         contexts = [context for _, context in indexed]
 
-        if self._store is not None and worker_store_path is None:
-            self._persist_contexts(contexts)
         if self._store is not None:
             self._store.flush()
         return contexts
-
-    def _warn_parent_persist(self) -> None:
-        """One-time warning that this batch runs storeless in the workers.
-
-        Parallel ``run_many`` over a non-SQLite store (today: the JSONL
-        backend, or an in-memory/custom store without a shareable file)
-        silently loses the zero-allocator-call warm-cache guarantee — the
-        workers recompute and only the *parent* persists afterwards, so
-        every cell is still recorded, but nothing is *reused* inside the
-        batch.  Surface that once per backend per process instead of
-        letting the slowdown pass silently.
-        """
-        backend = self._store_backend or type(self._store).__name__
-        if backend in _PARENT_PERSIST_WARNED:
-            return
-        _PARENT_PERSIST_WARNED.add(backend)
-        warnings.warn(
-            f"run_many(jobs>1) with a {backend!r} store: workers cannot share "
-            "this backend, so the batch computes storeless in the workers and "
-            "the parent persists results afterwards (every cell is still "
-            "recorded, but in-batch cache reuse is lost). Use a SQLite store "
-            "for warm parallel batches.",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-    def _persist_contexts(self, contexts: Sequence[PipelineContext]) -> None:
-        """Parent-side persistence for batches whose workers ran storeless.
-
-        Only cells the store does not already hold are written, so a warm
-        rerun of a JSONL-backed parallel batch (which recomputes in the
-        workers — see :meth:`run_many`) appends nothing instead of growing
-        the append-only log with duplicates.
-        """
-        from repro.experiments.runner import InstanceRecord
-
-        items = []
-        allocators: dict = {}
-        for context in contexts:
-            if context.problem is None or context.result is None:
-                continue
-            if context.stage_stats.get("allocate", {}).get("cache") == "hit":
-                continue
-            name = context.result.allocator
-            allocator = allocators.get(name)
-            if allocator is None:
-                allocator = allocators[name] = _allocator_of(name)
-            key = allocate_cell_key(
-                context.problem,
-                allocator,
-                target=context.target.name if context.target else None,
-            )
-            items.append(
-                (
-                    key,
-                    InstanceRecord.from_result(
-                        context.problem,
-                        context.result,
-                        instance=context.name,
-                        program=context.name,
-                        allocator=allocator.name,
-                        elapsed=context.timings.get("allocate", 0.0),
-                    ),
-                )
-            )
-        # Dedup against the store *and* within the batch (duplicate inputs
-        # share one cell), so the append-only JSONL log never grows twice
-        # for the same key.
-        existing = self._store.get_many([key for key, _ in items])
-        unique = {}
-        for key, record in items:
-            if key not in existing and key not in unique:
-                unique[key] = record
-        if unique:
-            self._store.put_many(list(unique.items()))
 
     # ------------------------------------------------------------------ #
     # execution core
@@ -465,12 +367,6 @@ class Pipeline:
             if fresh:
                 context = context.evolve(diagnostics=context.diagnostics + fresh)
         return context
-
-
-def _allocator_of(name: str):
-    from repro.alloc.base import get_allocator
-
-    return get_allocator(name)
 
 
 def _run_shard(

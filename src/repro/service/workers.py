@@ -16,10 +16,6 @@ Each worker thread loops claim → execute → complete/fail:
   — the job fails terminally (retrying would fail identically); any other
   exception is presumed transient and retries with backoff until the
   queue dead-letters it.
-
-The pool requires a SQLite store: worker threads each need a connection
-with shared visibility of freshly written cells, which the append-only
-JSONL backend cannot provide (see ``ExperimentStore`` docs).
 """
 
 from __future__ import annotations
@@ -140,18 +136,9 @@ class WorkerPool:
     ) -> None:
         if workers < 0:
             raise ServiceError(f"workers must be >= 0, got {workers}")
-        probe = open_store(store_path)
-        try:
-            backend = getattr(probe, "backend", None)
-            if backend != "sqlite":
-                raise ServiceError(
-                    f"the allocation service requires a SQLite store, got backend "
-                    f"{backend!r} at {store_path}: worker threads need shared "
-                    "visibility of freshly written cells, which the append-only "
-                    "JSONL backend cannot provide"
-                )
-        finally:
-            probe.close()
+        # Open the store once so an unusable path fails here, before the
+        # server binds, rather than in every worker thread.
+        open_store(store_path).close()
         self.queue = queue
         self.store_path = str(store_path)
         self.telemetry = telemetry if telemetry is not None else ServiceTelemetry()

@@ -10,10 +10,10 @@ stages of the pipeline (see ``repro-alloc sweep / aggregate / report``).
 Cache keys are ``(problem_digest, allocator, allocator_version, R)`` — see
 :mod:`repro.store.keys` for the digest contract and
 :attr:`repro.alloc.base.Allocator.version` for when a version bump is
-required.  Two interchangeable backends are provided: SQLite (default) and
-append-only JSONL.
+required.  Cells persist in one SQLite file (:mod:`repro.store.sqlite`).
 """
 
+from repro.errors import StoreFormatError
 from repro.store.base import (
     ExperimentStore,
     RunManifest,
@@ -22,7 +22,6 @@ from repro.store.base import (
     record_from_dict,
     record_to_dict,
 )
-from repro.store.jsonl import JsonlExperimentStore, StoreFormatError
 from repro.store.keys import CellKey, problem_digest
 from repro.store.merge import MergeReport, merge_batches
 from repro.store.sqlite import SqliteExperimentStore
@@ -30,7 +29,6 @@ from repro.store.sqlite import SqliteExperimentStore
 __all__ = [
     "CellKey",
     "ExperimentStore",
-    "JsonlExperimentStore",
     "MergeReport",
     "RunManifest",
     "SqliteExperimentStore",

@@ -2,10 +2,8 @@
 
 An :class:`ExperimentStore` is a durable map from :class:`~repro.store.keys.CellKey`
 to one :class:`~repro.experiments.runner.InstanceRecord`, plus an append-only
-log of :class:`RunManifest` provenance entries (one per sweep).  Two backends
-ship with the library — SQLite (:mod:`repro.store.sqlite`, the default) and
-JSONL (:mod:`repro.store.jsonl`) — with identical semantics, checked by the
-backend-parity tests.
+log of :class:`RunManifest` provenance entries (one per sweep), persisted in
+one SQLite file by :class:`~repro.store.sqlite.SqliteExperimentStore`.
 
 Stores are cheap to reopen: an interrupted sweep leaves every flushed cell
 behind, and the next ``run_experiment(..., store=..., resume=True)`` computes
@@ -124,8 +122,11 @@ def current_git_rev(cwd: Union[str, Path, None] = None) -> str:
 class ExperimentStore(abc.ABC):
     """Durable, content-addressed map of experiment cells plus run manifests."""
 
-    #: backend identifier (``"sqlite"`` or ``"jsonl"``).
+    #: backend identifier, the ``<backend>`` of the ``store.<backend>.*`` counters.
     backend: str = "abstract"
+    #: the file the store persists to; ``Pipeline.run_many(jobs>1)`` workers
+    #: each open their own connection to it.
+    path: Path
 
     # -- cells --------------------------------------------------------- #
     def get_many(self, keys: Iterable[CellKey]) -> Dict[CellKey, "InstanceRecord"]:
@@ -133,7 +134,7 @@ class ExperimentStore(abc.ABC):
 
         Lookups are counted into the ambient tracer (no-op by default) as
         ``store.<backend>.hit`` / ``store.<backend>.miss`` — one count per
-        key, shared by both backends through this wrapper.
+        key.
         """
         key_list = list(keys)
         found = self._get_many(key_list)
@@ -222,7 +223,7 @@ class ExperimentStore(abc.ABC):
 
 
 def _items_sort_key(pair: Tuple[CellKey, "InstanceRecord"]) -> Tuple:
-    """Deterministic total order shared by both backends (backend parity)."""
+    """Deterministic total order of :meth:`ExperimentStore.items`."""
     key, record = pair
     return (
         record.instance,
@@ -234,23 +235,13 @@ def _items_sort_key(pair: Tuple[CellKey, "InstanceRecord"]) -> Tuple:
     )
 
 
-def open_store(
-    path: Union[str, Path], backend: Optional[str] = None
-) -> ExperimentStore:
-    """Open (creating if needed) the experiment store at ``path``.
+def open_store(path: Union[str, Path]) -> ExperimentStore:
+    """Open (creating if needed) the SQLite experiment store at ``path``.
 
-    The backend is ``backend`` when given, else inferred from the suffix:
-    ``*.jsonl`` opens the append-only JSONL backend, anything else SQLite.
+    Raises :class:`~repro.errors.StoreFormatError`, naming ``path``, when
+    it cannot be opened as one (a directory, a file that is not a SQLite
+    database).
     """
-    path = Path(path)
-    if backend is None:
-        backend = "jsonl" if path.suffix == ".jsonl" else "sqlite"
-    if backend == "sqlite":
-        from repro.store.sqlite import SqliteExperimentStore
+    from repro.store.sqlite import SqliteExperimentStore
 
-        return SqliteExperimentStore(path)
-    if backend == "jsonl":
-        from repro.store.jsonl import JsonlExperimentStore
-
-        return JsonlExperimentStore(path)
-    raise ValueError(f"unknown store backend {backend!r}; expected 'sqlite' or 'jsonl'")
+    return SqliteExperimentStore(path)

@@ -21,10 +21,6 @@ Run manifests are fused too (provenance survives the merge): the
 destination ends up with the union of all manifests, deduplicated by
 ``run_id`` and appended in ``(created_at, run_id)`` order, so a merged
 store replays the same history regardless of source order.
-
-Backends mix freely — JSONL shards can merge into a SQLite destination
-and vice versa; both expose the same :class:`~repro.store.base.ExperimentStore`
-surface.
 """
 
 from __future__ import annotations

@@ -1,11 +1,10 @@
-"""SQLite backend of the experiment store (the default).
+"""SQLite persistence of the experiment store.
 
 One file, two tables:
 
 * ``cells`` — primary key = the four cache-key columns, payload = the
   serialized :class:`~repro.experiments.runner.InstanceRecord` as JSON.
-  ``INSERT OR REPLACE`` gives last-write-wins semantics, matching the JSONL
-  backend.
+  ``INSERT OR REPLACE`` gives last-write-wins semantics.
 * ``manifests`` — append-only provenance log, one row per sweep.
 
 Every :meth:`put_many`/:meth:`add_manifest` commits, so cells written by an
@@ -19,6 +18,7 @@ import sqlite3
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Tuple, Union
 
+from repro.errors import StoreFormatError
 from repro.store.base import (
     ExperimentStore,
     RunManifest,
@@ -58,11 +58,18 @@ class SqliteExperimentStore(ExperimentStore):
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._conn = sqlite3.connect(str(self.path))
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.executescript(_SCHEMA)
-        self._conn.commit()
+        conn = None
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            conn = sqlite3.connect(str(self.path))
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.executescript(_SCHEMA)
+            conn.commit()
+        except (OSError, sqlite3.Error) as error:
+            if conn is not None:
+                conn.close()
+            raise StoreFormatError(f"cannot use store {self.path}: {error}") from error
+        self._conn = conn
 
     # -- cells --------------------------------------------------------- #
     def _get_many(self, keys: List[CellKey]) -> Dict[CellKey, "InstanceRecord"]:

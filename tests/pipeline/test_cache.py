@@ -101,39 +101,12 @@ def test_sweep_warms_the_engine_and_the_engine_warms_the_sweep(store_path):
         assert manifest.cells_computed == 0
 
 
-@pytest.mark.filterwarnings("ignore:run_many.jobs>1.:RuntimeWarning")
-def test_parallel_jsonl_batches_never_append_duplicate_cells(tmp_path):
-    """JSONL workers run storeless; the parent must persist only new cells.
-
-    (The parent-persist RuntimeWarning itself is pinned in
-    tests/pipeline/test_jsonl_parallel_fallback.py; it is ignored here.)
-    """
-    fns = _functions(3)
-    path = str(tmp_path / "cache.jsonl")
-    with Pipeline.from_spec("NL", target="st231", registers=3, store=path) as pipe:
-        pipe.run_many(fns, jobs=2)
-        cells_after_cold = len(pipe.store)
-        assert cells_after_cold == len(fns)
-        pipe.run_many(fns, jobs=2)  # warm parallel rerun recomputes in workers
-        assert len(pipe.store) == cells_after_cold
-        # Serial warm runs do hit through the open JSONL store.
-        serial = pipe.run_many(fns)
-        assert all(c.stage_stats["allocate"]["cache"] == "hit" for c in serial)
-    # The append-only log itself must not have grown with duplicates.
-    lines = [l for l in open(path, encoding="utf-8") if '"type": "cell"' in l or '"type":"cell"' in l]
-    assert len(lines) == len(fns)
-
-
-@pytest.mark.filterwarnings("ignore:run_many.jobs>1.:RuntimeWarning")
-def test_parallel_jsonl_batch_dedups_duplicate_inputs(tmp_path):
-    """The same function twice in one batch must persist one cell, not two."""
+def test_parallel_batch_dedups_duplicate_inputs(store_path):
+    """The same function twice in one parallel batch persists one cell."""
     fn = _functions(1)[0]
-    path = str(tmp_path / "dup.jsonl")
-    with Pipeline.from_spec("NL", target="st231", registers=3, store=path) as pipe:
+    with Pipeline.from_spec("NL", target="st231", registers=3, store=store_path) as pipe:
         pipe.run_many([fn, fn], jobs=2)
         assert len(pipe.store) == 1
-    lines = [l for l in open(path, encoding="utf-8") if '"type": "cell"' in l]
-    assert len(lines) == 1
 
 
 def test_pre_engine_records_without_spill_sets_are_cache_misses(store_path):

@@ -1,24 +1,18 @@
-"""SQLite and JSONL backend semantics, checked for parity."""
+"""Experiment-store semantics: cells, manifests, reopening, open errors."""
 
-import json
+import re
 
 import pytest
 
 from repro.experiments.runner import InstanceRecord
-from repro.store import (
-    CellKey,
-    JsonlExperimentStore,
-    RunManifest,
-    SqliteExperimentStore,
-    StoreFormatError,
-    open_store,
-)
+from repro.store import CellKey, RunManifest, StoreFormatError, open_store
 
-BACKENDS = ("sqlite", "jsonl")
+#: the store's one backend; its name prefixes the ``store.<backend>.*`` counters.
+BACKENDS = ("sqlite",)
 
 
 def _store_path(tmp_path, backend):
-    return tmp_path / ("store.sqlite" if backend == "sqlite" else "store.jsonl")
+    return tmp_path / f"store.{backend}"
 
 
 def _key(digest="d0", allocator="NL", version="1", registers=2):
@@ -106,60 +100,32 @@ def test_manifests_preserve_insertion_order(tmp_path, backend):
         assert [m.run_id for m in store.manifests()] == ["r1", "r2", "r3"]
 
 
-def test_backend_parity_same_content_same_views(tmp_path):
-    """Identical operations on both backends produce identical read views."""
+def test_read_view_ignores_insertion_order(tmp_path):
+    """Two stores filled with the same cells in opposite orders read back
+    identically: ``items()`` sorts by (instance, R, allocator, key)."""
     pairs = [
         (_key("d1", "NL", "1", 2), _record(instance="s/a/fn0", allocator="NL", registers=2)),
         (_key("d1", "GC", "1", 2), _record(instance="s/a/fn0", allocator="GC", registers=2, cost=5.0)),
         (_key("d2", "NL", "1", 4), _record(instance="s/b/fn1", allocator="NL", registers=4, cost=0.0)),
     ]
-    views = {}
-    for backend in BACKENDS:
-        with open_store(_store_path(tmp_path, backend)) as store:
-            # insert in different orders; the read view must not care
-            ordered = pairs if backend == "sqlite" else list(reversed(pairs))
+    views = []
+    for name, ordered in (("a", pairs), ("b", list(reversed(pairs)))):
+        with open_store(tmp_path / f"{name}.sqlite") as store:
             store.put_many(ordered)
-            store.add_manifest(_manifest())
-            views[backend] = (store.items(), store.records(), store.manifests())
-    assert views["sqlite"] == views["jsonl"]
+            views.append((store.items(), store.records()))
+    assert views[0] == views[1]
+    assert [key for key, _ in views[0][0]] == [pairs[1][0], pairs[0][0], pairs[2][0]]
 
 
-def test_open_store_infers_backend_from_suffix(tmp_path):
-    with open_store(tmp_path / "a.jsonl") as store:
-        assert isinstance(store, JsonlExperimentStore)
-    with open_store(tmp_path / "a.sqlite") as store:
-        assert isinstance(store, SqliteExperimentStore)
-    with open_store(tmp_path / "a.db", backend="jsonl") as store:
-        assert isinstance(store, JsonlExperimentStore)
-    with pytest.raises(ValueError):
-        open_store(tmp_path / "a.db", backend="parquet")
-
-
-def test_jsonl_tolerates_truncated_final_line(tmp_path):
-    path = tmp_path / "store.jsonl"
-    with open_store(path) as store:
-        store.put(_key(), _record())
-    # Simulate a crash mid-append: a partial JSON line without newline.
-    with path.open("a", encoding="utf-8") as handle:
-        handle.write('{"type": "cell", "key": {"problem_di')
-    with open_store(path) as store:
-        assert len(store) == 1
-        store.put(_key(digest="d9"), _record())
-    with open_store(path) as store:
-        assert len(store) == 2
-
-
-def test_jsonl_rejects_interior_corruption(tmp_path):
-    path = tmp_path / "store.jsonl"
-    path.write_text('not json at all\n{"type": "manifest", "manifest": {}}\n')
-    with pytest.raises(StoreFormatError):
-        JsonlExperimentStore(path)
-
-
-def test_jsonl_lines_are_plain_json(tmp_path):
-    path = tmp_path / "store.jsonl"
-    with open_store(path) as store:
-        store.put(_key(), _record())
-        store.add_manifest(_manifest())
-    lines = [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
-    assert {line["type"] for line in lines} == {"cell", "manifest"}
+def test_open_store_names_a_path_it_cannot_open(tmp_path):
+    """A directory, or a file that is not a SQLite database (an old JSONL
+    store, say), fails with one typed error naming the path; the file is
+    left as it was."""
+    old_jsonl = tmp_path / "cells.jsonl"
+    old_jsonl.write_text('{"type": "cell"}\n')
+    directory = tmp_path / "cells"
+    directory.mkdir()
+    for path in (old_jsonl, directory):
+        with pytest.raises(StoreFormatError, match=re.escape(str(path))):
+            open_store(path)
+    assert old_jsonl.read_text() == '{"type": "cell"}\n'

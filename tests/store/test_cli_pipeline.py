@@ -5,6 +5,7 @@ import re
 import pytest
 
 from repro.cli import main
+from repro.store import open_store
 
 SWEEP = [
     "sweep",
@@ -28,7 +29,7 @@ def _stat(output, name):
     return float(match.group(1))
 
 
-@pytest.mark.parametrize("filename", ["store.sqlite", "store.jsonl"])
+@pytest.mark.parametrize("filename", ["store.sqlite"])
 def test_sweep_aggregate_report_end_to_end(tmp_path, capsys, filename):
     store = tmp_path / filename
 
@@ -81,12 +82,23 @@ def test_report_renders_markdown_and_html_from_store(tmp_path, capsys):
 
 def test_report_on_empty_store_fails_cleanly(tmp_path, capsys):
     store = tmp_path / "empty.sqlite"
+    open_store(store).close()
     assert main(["report", "figure9", "--store", str(store)]) == 1
     err = capsys.readouterr().err
     assert "no records" in err and "figure9" in err
 
     assert main(["aggregate", "--store", str(store)]) == 1
     assert "no matching records" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["aggregate"], ["report", "figure9"]])
+def test_read_only_commands_never_create_a_store(tmp_path, capsys, command):
+    store = tmp_path / "missing" / "none.sqlite"
+    assert main(command + ["--store", str(store)]) == 1
+    err = capsys.readouterr().err
+    assert f"cannot use store {store}: no such file" in err
+    assert "Traceback" not in err
+    assert not store.parent.exists()
 
 
 def test_aggregate_without_optimal_baseline_fails_cleanly(tmp_path, capsys):

@@ -2,8 +2,8 @@
 
 Covers the satellite checklist: disjoint shards fuse completely,
 overlapping-identical cells dedupe, conflicting payloads raise the typed
-:class:`MergeConflictError`, manifests fuse in ``(created_at, run_id)``
-order, and JSONL/SQLite shards mix freely in either direction.
+:class:`MergeConflictError`, and manifests fuse in ``(created_at, run_id)``
+order.
 """
 
 import dataclasses
@@ -124,27 +124,6 @@ def test_manifests_fuse_deduped_and_ordered(tmp_path):
     )
     assert again.added == 0
     assert again.manifests_added == 0
-
-
-@pytest.mark.parametrize(
-    "dest_suffix,source_suffix",
-    [(".sqlite", ".jsonl"), (".jsonl", ".sqlite")],
-)
-def test_jsonl_and_sqlite_shards_mix(tmp_path, dest_suffix, source_suffix):
-    _sweep(tmp_path / f"a{dest_suffix}", [0])
-    _sweep(tmp_path / f"b{source_suffix}", [1])
-    report = merge_batches(
-        tmp_path / f"merged{dest_suffix}",
-        [tmp_path / f"a{dest_suffix}", tmp_path / f"b{source_suffix}"],
-    )
-    assert report.added == len(_cells(tmp_path / f"a{dest_suffix}")) + len(
-        _cells(tmp_path / f"b{source_suffix}")
-    )
-    merged = _cells(tmp_path / f"merged{dest_suffix}")
-    assert merged == {
-        **_cells(tmp_path / f"a{dest_suffix}"),
-        **_cells(tmp_path / f"b{source_suffix}"),
-    }
 
 
 def test_open_store_arguments_accepted_directly(tmp_path):

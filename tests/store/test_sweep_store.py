@@ -172,22 +172,6 @@ def test_parallel_store_sweep_matches_serial(tmp_path):
     assert _key(warm) == _key(baseline)
 
 
-def test_jsonl_and_sqlite_sweeps_agree(tmp_path):
-    problems = _problems(count=3)
-    config = _config()
-    views = {}
-    for suffix in ("sqlite", "jsonl"):
-        with open_store(tmp_path / f"s.{suffix}") as store:
-            run_experiment(problems, config, store=store)
-            # Ignore runtime_seconds: the two sweeps each measured their own.
-            views[suffix] = [
-                (key, record.instance, record.allocator, record.num_registers,
-                 record.spill_cost, record.num_spilled, record.stats)
-                for key, record in store.items()
-            ]
-    assert views["sqlite"] == views["jsonl"]
-
-
 def test_config_validation_rejects_bad_sweeps():
     with pytest.raises(ValueError, match="allocators"):
         run_experiment([], ExperimentConfig(allocators=[], register_counts=[2]))

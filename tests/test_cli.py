@@ -354,21 +354,30 @@ class TestExitCodeContract:
             ["check", "--input", "/no/such/file.ir"],
             # missing sweep selection (flags parse, the *work* is unspecified)
             ["sweep", "--store", "unused.sqlite"],
-            # the service refuses a JSONL store (workers cannot share it)
-            ["serve", "--store", "cells.jsonl", "--port", "0"],
+            # a store path that is not a SQLite database
+            ["serve", "--store", "notes.txt", "--port", "0"],
             # no server listening on a reserved port
             ["submit", "--url", "http://127.0.0.1:9", "--input", "x.ir"],
             ["jobs", "--url", "http://127.0.0.1:9"],
+            # the other commands given a store that is not a SQLite database
+            ["aggregate", "--store", "notes.txt"],
+            ["report", "figure9", "--store", "notes.txt"],
+            ["sweep", "--figure", "figure9", "--store", "notes.txt"],
+            ["figure", "figure9", "--scale", "0.1", "--store", "notes.txt"],
+            ["merge-batches", "--into", "merged.sqlite", "notes.txt"],
         ],
     )
     def test_domain_failures_exit_1_without_traceback(self, argv, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         if argv[0] == "submit":
             (tmp_path / "x.ir").write_text("func @f(%a) {\nentry:\n  ret %a\n}\n")
+        (tmp_path / "notes.txt").write_text("not a database\n")
         assert main(argv) == 1, f"expected exit 1 from {argv}"
         captured = capsys.readouterr()
         assert "error" in captured.err
         assert "Traceback" not in captured.err
+        if "notes.txt" in argv:
+            assert captured.err.count("\n") == 1 and "notes.txt" in captured.err
 
     # -- exit 2: usage errors ------------------------------------------- #
     @pytest.mark.parametrize(
