@@ -22,19 +22,14 @@ so they land in ``bench_output.txt`` alongside the timing tables.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import pytest
 
-from repro.experiments.figures import (
-    CHORDAL_ALLOCATORS,
-    CHORDAL_REGISTER_COUNTS,
-    GENERAL_ALLOCATORS,
-    GENERAL_REGISTER_COUNTS,
-    _run_suite,
-)
+from repro.experiments.figures import FIGURE_SPECS, FigureSpec, _run_suite
 from repro.experiments.runner import InstanceRecord
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -67,21 +62,13 @@ def bench_max_instances(suite: str) -> Optional[int]:
     return default
 
 
-def run_suite_records(
-    suite: str,
-    target: str,
-    allocators: Sequence[str],
-    register_counts: Sequence[int],
-) -> List[InstanceRecord]:
-    """Run one suite sweep with the benchmark-level configuration."""
+def run_suite_records(spec: FigureSpec) -> List[InstanceRecord]:
+    """Run one figure spec's sweep with the benchmark-level configuration."""
     return _run_suite(
-        suite,
-        target,
-        allocators,
-        register_counts,
+        spec,
         seed=bench_seed(),
-        scale=bench_scale(suite),
-        max_instances=bench_max_instances(suite),
+        scale=bench_scale(spec.suite),
+        max_instances=bench_max_instances(spec.suite),
         verify=False,
     )
 
@@ -100,23 +87,24 @@ def publish(figure_result, capsys=None) -> None:
 @pytest.fixture(scope="session")
 def spec_st231_records() -> List[InstanceRecord]:
     """SPEC CPU2000int stand-in on ST231 (Figures 8 and 11)."""
-    return run_suite_records("spec2000int", "st231", CHORDAL_ALLOCATORS, CHORDAL_REGISTER_COUNTS)
+    return run_suite_records(FIGURE_SPECS["figure8"])
 
 
 @pytest.fixture(scope="session")
 def eembc_st231_records() -> List[InstanceRecord]:
     """EEMBC stand-in on ST231 (Figures 9 and 12)."""
-    return run_suite_records("eembc", "st231", CHORDAL_ALLOCATORS, CHORDAL_REGISTER_COUNTS)
+    return run_suite_records(FIGURE_SPECS["figure9"])
 
 
 @pytest.fixture(scope="session")
 def lao_armv7_records() -> List[InstanceRecord]:
     """lao-kernels stand-in on ARMv7 (Figures 10 and 13)."""
-    return run_suite_records("lao_kernels", "armv7-a8", CHORDAL_ALLOCATORS, CHORDAL_REGISTER_COUNTS)
+    return run_suite_records(FIGURE_SPECS["figure10"])
 
 
 @pytest.fixture(scope="session")
 def jvm_records() -> List[InstanceRecord]:
     """SPEC JVM98 stand-in on the JikesRVM register file (Figures 14 and 15)."""
-    register_counts = tuple(sorted(set(GENERAL_REGISTER_COUNTS) | {6}))
-    return run_suite_records("specjvm98", "jikesrvm-ia32", GENERAL_ALLOCATORS, register_counts)
+    figure14, figure15 = FIGURE_SPECS["figure14"], FIGURE_SPECS["figure15"]
+    register_counts = tuple(sorted(set(figure14.register_counts) | set(figure15.register_counts)))
+    return run_suite_records(dataclasses.replace(figure14, register_counts=register_counts))

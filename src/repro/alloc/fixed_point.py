@@ -36,7 +36,6 @@ from repro.alloc.layered import (
 )
 from repro.alloc.problem import AllocationProblem
 from repro.alloc.result import AllocationResult
-from repro.errors import AllocationError
 from repro.graphs.cliques import Clique
 from repro.graphs.graph import Vertex
 from repro.telemetry.tracer import current_tracer
@@ -71,7 +70,7 @@ class FixedPointLayeredAllocator(LayeredOptimalAllocator):
         layers = 0
         with tracer.span("alloc:layered_phase", category="alloc", allocator=self.name) as phase:
             while candidates and layers < num_registers:
-                layer = optimal_layer(graph, candidates, weights=weights, step=1, peo=peo)
+                layer = optimal_layer(graph, candidates, weights=weights, peo=peo)
                 if tracer.enabled:
                     tracer.count("alloc.frank.calls")
                     tracer.count("alloc.frank.peo_reused" if peo is not None else "alloc.frank.peo_recomputed")
@@ -107,7 +106,7 @@ class FixedPointLayeredAllocator(LayeredOptimalAllocator):
         extra_rounds = 0
         with tracer.span("alloc:fixed_point_phase", category="alloc", allocator=self.name) as phase:
             while candidates:
-                layer = optimal_layer(graph, candidates, weights=weights, step=1, peo=peo)
+                layer = optimal_layer(graph, candidates, weights=weights, peo=peo)
                 if tracer.enabled:
                     tracer.count("alloc.frank.calls")
                     tracer.count("alloc.frank.peo_reused" if peo is not None else "alloc.frank.peo_recomputed")
@@ -146,10 +145,6 @@ class FixedPointLayeredAllocator(LayeredOptimalAllocator):
         layer an independent set bound to one register, so the fixed point
         is sound by construction.
         """
-        if self.step != 1:
-            raise AllocationError(
-                f"constrained layered allocation requires step=1, got {self.step}"
-            )
         graph = problem.graph
         weights = self.layer_weights(problem)
         tracer = current_tracer()
@@ -170,7 +165,7 @@ class FixedPointLayeredAllocator(LayeredOptimalAllocator):
                 candidates.difference_update(graph.neighbors(member))
             if not candidates:
                 return False
-            layer = optimal_layer(graph, candidates, weights=weights, step=1, peo=peo)
+            layer = optimal_layer(graph, candidates, weights=weights, peo=peo)
             if tracer.enabled:
                 tracer.count("alloc.frank.calls")
                 tracer.count("alloc.frank.peo_reused" if peo is not None else "alloc.frank.peo_recomputed")

@@ -1,12 +1,11 @@
 """The layered-optimal allocator (paper Algorithm 2, "NL").
 
-The allocator runs at most ``R / step`` rounds; each round solves *optimally*
-the allocation problem with ``step`` registers restricted to the variables
-not yet allocated, and commits the resulting layer.  With ``step = 1`` (the
-paper's setting) the per-round problem is the maximum weighted stable set of
-the candidate sub-graph, solved exactly by Frank's algorithm on chordal
-graphs.  The final allocation is the union of the layers, which is trivially
-``R``-colorable because it is a union of at most ``R`` stable sets.
+The allocator runs at most ``R`` rounds; each round solves *optimally* the
+allocation problem with one register restricted to the variables not yet
+allocated — the maximum weighted stable set of the candidate sub-graph,
+solved exactly by Frank's algorithm on chordal graphs — and commits the
+resulting layer.  The final allocation is the union of the layers, which is
+trivially ``R``-colorable because it is a union of at most ``R`` stable sets.
 
 Overall complexity: ``O(R · (|V| + |E|))``.  Two structural facts make this
 bound reachable: an induced subgraph of a chordal graph is chordal, and the
@@ -48,45 +47,28 @@ def optimal_layer(
     graph: Graph,
     candidates: Set[Vertex],
     weights: Optional[Dict[Vertex, float]] = None,
-    step: int = 1,
     peo: Optional[Sequence[Vertex]] = None,
 ) -> List[Vertex]:
-    """Optimally allocate ``step`` registers among ``candidates``.
+    """Optimally allocate one register among ``candidates``.
 
-    For ``step == 1`` this is Frank's maximum weighted stable set on the
-    candidate-induced sub-graph.  When a ``peo`` of the *full* graph is
-    supplied, the search runs directly over the candidate mask (its
-    restriction to ``candidates`` is a valid PEO of the induced subgraph), so
-    the round costs ``O(|V|+|E|)`` with no subgraph copy.  Without ``peo``
-    the original path is taken: materialize the subgraph and recompute its
+    This is Frank's maximum weighted stable set on the candidate-induced
+    sub-graph.  When a ``peo`` of the *full* graph is supplied, the search
+    runs directly over the candidate mask (its restriction to
+    ``candidates`` is a valid PEO of the induced subgraph), so the round
+    costs ``O(|V|+|E|)`` with no subgraph copy.  Without ``peo`` the
+    original path is taken: materialize the subgraph and recompute its
     elimination order from scratch.
-
-    For ``step >= 2`` the layer is computed with the exact optimal allocator
-    on the sub-graph (the paper points at a dynamic program; using the exact
-    solver keeps the "optimal per layer" contract while remaining polynomial
-    in practice for small ``step``).
     """
-    if step < 1:
-        raise AllocationError(f"layer step must be >= 1, got {step}")
     if not candidates:
         return []
-    if step == 1 and peo is not None:
+    if peo is not None:
         return maximum_weighted_stable_set(graph, weights=weights, peo=peo, candidates=candidates)
     subgraph = graph.subgraph(candidates)
     if weights is not None:
         layer_weights = {v: weights[v] for v in subgraph.vertices()}
     else:
         layer_weights = None
-    if step == 1:
-        return maximum_weighted_stable_set(subgraph, weights=layer_weights)
-    # Deferred import: optimal.py imports this module's registry helpers.
-    from repro.alloc.optimal import solve_optimal_allocation
-
-    if layer_weights is not None:
-        for v, w in layer_weights.items():
-            subgraph.set_weight(v, w)
-    allocated, _ = solve_optimal_allocation(subgraph, step)
-    return list(allocated)
+    return maximum_weighted_stable_set(subgraph, weights=layer_weights)
 
 
 # ---------------------------------------------------------------------- #
@@ -137,23 +119,13 @@ def register_candidates(
 
 
 class LayeredOptimalAllocator(Allocator):
-    """Paper Algorithm 2: the plain ("naive") layered-optimal allocator NL.
-
-    Parameters
-    ----------
-    step:
-        Number of registers allocated optimally per layer (the paper
-        evaluates ``step = 1``).
-    """
+    """Paper Algorithm 2: the plain ("naive") layered-optimal allocator NL."""
 
     name = "NL"
     version = "1"
     supports_constraints = True
 
-    def __init__(self, step: int = 1, shared_peo: bool = True) -> None:
-        if step < 1:
-            raise AllocationError(f"step must be >= 1, got {step}")
-        self.step = step
+    def __init__(self, shared_peo: bool = True) -> None:
         #: reuse one problem-level PEO across rounds (the paper's intended
         #: complexity); ``False`` selects the materializing reference path.
         self.shared_peo = shared_peo
@@ -179,11 +151,9 @@ class LayeredOptimalAllocator(Allocator):
         tracer = current_tracer()
 
         rounds = 0
-        budget = problem.num_registers
         peo: Optional[Sequence[Vertex]] = None
-        while candidates and rounds * self.step < budget:
-            step = min(self.step, budget - rounds * self.step)
-            if step == 1 and self.shared_peo and peo is None:
+        while candidates and rounds < problem.num_registers:
+            if self.shared_peo and peo is None:
                 # One PEO per problem, shared by every round (and, via the
                 # problem cache, by every register count of a sweep).
                 peo = problem.peo
@@ -195,16 +165,12 @@ class LayeredOptimalAllocator(Allocator):
                     round=rounds,
                     candidates=len(candidates),
                 ) as span:
-                    layer = optimal_layer(graph, candidates, weights=weights, step=step, peo=peo)
+                    layer = optimal_layer(graph, candidates, weights=weights, peo=peo)
                     span.set(layer_size=len(layer))
-                if step == 1:
-                    tracer.count("alloc.frank.calls")
-                    if peo is not None:
-                        tracer.count("alloc.frank.peo_reused")
-                    else:
-                        tracer.count("alloc.frank.peo_recomputed")
+                tracer.count("alloc.frank.calls")
+                tracer.count("alloc.frank.peo_reused" if peo is not None else "alloc.frank.peo_recomputed")
             else:
-                layer = optimal_layer(graph, candidates, weights=weights, step=step, peo=peo)
+                layer = optimal_layer(graph, candidates, weights=weights, peo=peo)
             if not layer:
                 break
             allocated.extend(layer)
@@ -213,10 +179,11 @@ class LayeredOptimalAllocator(Allocator):
         if tracer.enabled:
             tracer.count("alloc.layered.rounds", rounds)
 
+        # One register per layer; "step" stays in the stats so stored cells keep their bytes.
         return self._result(
             problem,
             allocated,
-            stats={"layers": rounds, "step": self.step, "candidates_left": len(candidates)},
+            stats={"layers": rounds, "step": 1, "candidates_left": len(candidates)},
         )
 
     def _allocate_constrained(self, problem: AllocationProblem) -> AllocationResult:
@@ -233,10 +200,6 @@ class LayeredOptimalAllocator(Allocator):
         their register's round (conservative: the round order is the file
         order, not weight-driven).
         """
-        if self.step != 1:
-            raise AllocationError(
-                f"constrained layered allocation requires step=1, got {self.step}"
-            )
         graph = problem.graph
         weights = self.layer_weights(problem)
         tracer = current_tracer()
@@ -252,7 +215,7 @@ class LayeredOptimalAllocator(Allocator):
             candidates = register_candidates(graph, register, remaining, allowed, layers, alias)
             if not candidates:
                 continue
-            layer = optimal_layer(graph, candidates, weights=weights, step=1, peo=peo)
+            layer = optimal_layer(graph, candidates, weights=weights, peo=peo)
             if tracer.enabled:
                 tracer.count("alloc.frank.calls")
                 tracer.count("alloc.frank.peo_reused" if peo is not None else "alloc.frank.peo_recomputed")
@@ -270,7 +233,7 @@ class LayeredOptimalAllocator(Allocator):
             allocated,
             stats={
                 "layers": rounds,
-                "step": self.step,
+                "step": 1,
                 "candidates_left": len(remaining),
                 "constrained": True,
                 "register_layers": {
@@ -283,11 +246,3 @@ class LayeredOptimalAllocator(Allocator):
 
 register_allocator("NL", LayeredOptimalAllocator)
 register_allocator("layered", LayeredOptimalAllocator)
-
-
-def allocate_layered(
-    graph: Graph, num_registers: int, step: int = 1, name: str = ""
-) -> AllocationResult:
-    """Functional convenience wrapper around :class:`LayeredOptimalAllocator`."""
-    problem = AllocationProblem(graph=graph, num_registers=num_registers, name=name)
-    return LayeredOptimalAllocator(step=step).allocate(problem)

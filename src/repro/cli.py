@@ -80,26 +80,19 @@ import sqlite3
 import sys
 from contextlib import nullcontext
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.alloc import available_allocators
 from repro.alloc.problem import AllocationProblem
 from repro.errors import PipelineError, ReproError
-from repro.experiments.figures import ALL_FIGURES, FIGURE_SPECS, FigureSpec
-from repro.experiments.report import (
-    render_cache_split,
-    render_figure,
-    render_html_report,
-    render_markdown_report,
-    render_table,
-)
+from repro.experiments.figures import ALL_FIGURES, FIGURE_SPECS, FigureSpec, draw_figure
+from repro.experiments.report import render_cache_split, render_html_report, render_markdown_report
 from repro.experiments.runner import (
     ExperimentConfig,
-    InstanceRecord,
+    check_max_instances,
     run_experiment,
     run_streamed_experiment,
 )
-from repro.experiments.stats import mean_ratio_by, normalize_records
 from repro.graphs.io import load_graph
 from repro.ir.parser import parse_module
 from repro.pipeline import Pipeline, PipelineSpec
@@ -115,7 +108,7 @@ from repro.telemetry import (
     write_chrome,
     write_jsonl,
 )
-from repro.workloads.corpus import CorpusStream, build_corpus
+from repro.workloads.corpus import CorpusStream, build_corpus, check_scale
 from repro.workloads.suites import SUITES
 
 DEFAULT_TARGET = "st231"
@@ -867,33 +860,28 @@ def _command_check(args: argparse.Namespace) -> int:
 
 
 def _command_figure(args: argparse.Namespace) -> int:
-    """Regenerate a figure and print its rendered table."""
-    function = ALL_FIGURES[args.name]
+    """Regenerate a figure and print its rendered table.
+
+    With ``--store`` a paper figure is ``reproduce --figure NAME`` on the
+    local backend.
+    """
+    if args.store is not None:
+        if args.name in FIGURE_SPECS:
+            return _sweep_and_draw(args, args.name)
+        print(
+            f"repro-alloc: warning: --store is ignored for {args.name} "
+            "(it drives the allocators directly)",
+            file=sys.stderr,
+        )
+    try:
+        check_scale(args.scale)
+        check_max_instances(args.max_instances)
+    except ValueError as error:
+        return _error(str(error))
     kwargs = {"seed": args.seed, "scale": args.scale}
     if args.max_instances is not None:
         kwargs["max_instances"] = args.max_instances
-    if args.store is not None:
-        spec = FIGURE_SPECS.get(args.name)
-        if spec is None:
-            print(
-                f"repro-alloc: warning: --store is ignored for {args.name} "
-                "(it drives the allocators directly)",
-                file=sys.stderr,
-            )
-        else:
-            config = ExperimentConfig(
-                allocators=list(spec.allocators),
-                register_counts=list(spec.register_counts),
-            )
-            with _open_command_store(args.store) as store:
-                corpus = build_corpus(
-                    spec.suite, target=spec.target, seed=args.seed, scale=args.scale
-                )
-                kwargs["records"] = run_experiment(
-                    corpus, config, max_instances=args.max_instances, store=store
-                )
-    result = function(**kwargs)
-    print(result.rendered)
+    print(ALL_FIGURES[args.name](**kwargs).rendered)
     return 0
 
 
@@ -924,7 +912,7 @@ def _resolve_execution_backend(args: argparse.Namespace):
     """
     from repro.experiments.backends import LocalPoolBackend, ServiceBackend
 
-    if args.backend != "service":
+    if getattr(args, "backend", "local") != "service":  # `figure` has no backend flags
         return LocalPoolBackend()
     if not args.endpoints or not _csv_names(args.endpoints):
         raise ReproError("--backend service needs --endpoints URL[,URL...]")
@@ -964,11 +952,10 @@ def _command_sweep(args: argparse.Namespace) -> int:
     )
     try:
         config.validate()
-    except ValueError as error:
-        return _error(str(error))
-    try:
+        check_scale(args.scale)
+        check_max_instances(args.max_instances)
         execution = _resolve_execution_backend(args)
-    except ReproError as error:
+    except (ReproError, ValueError) as error:
         return _error(str(error))
     tracer = Tracer() if args.trace else None
     with _open_command_store(args.store) as store:
@@ -1055,21 +1042,29 @@ def _command_merge_batches(args: argparse.Namespace) -> int:
 
 
 def _command_reproduce(args: argparse.Namespace) -> int:
-    """Sweep one figure's corpus through a store and print the figure.
+    """Sweep one figure's corpus through a store and print the figure."""
+    return _sweep_and_draw(args, args.figure)
+
+
+def _sweep_and_draw(args: argparse.Namespace, name: str) -> int:
+    """Sweep figure ``name``'s corpus through ``args.store`` and print it
+    (``reproduce``, and ``figure NAME --store`` with the local defaults).
 
     The figure text goes to **stdout** and everything else to stderr, so
     ``reproduce --backend local`` and ``reproduce --backend service`` can be
     byte-compared directly (the e2e test and the CI distributed-sweep job
     do exactly that).  A warm store completes with zero allocator calls.
     """
-    spec = FIGURE_SPECS[args.figure]
+    spec = FIGURE_SPECS[name]
     config = ExperimentConfig(
         allocators=list(spec.allocators),
         register_counts=list(spec.register_counts),
-        jobs=args.jobs,
+        jobs=getattr(args, "jobs", 1),
     )
     try:
         config.validate()
+        check_scale(args.scale)
+        check_max_instances(args.max_instances)
         execution = _resolve_execution_backend(args)
     except (ReproError, ValueError) as error:
         return _error(str(error))
@@ -1091,13 +1086,12 @@ def _command_reproduce(args: argparse.Namespace) -> int:
     except (OSError, sqlite3.Error) as error:
         return _error(f"cannot use store {args.store}: {error}")
     print(
-        f"reproduce {args.figure}: backend={execution.name} store={args.store} "
+        f"reproduce {name}: backend={execution.name} store={args.store} "
         f"cells={manifest.cells_total} computed={manifest.cells_computed} "
         f"cached={manifest.cells_cached}",
         file=sys.stderr,
     )
-    result = ALL_FIGURES[args.figure](records=records)
-    print(result.rendered)
+    print(ALL_FIGURES[name](records=records).rendered)
     return EXIT_OK
 
 
@@ -1130,20 +1124,6 @@ def _mixed_corpus_error(manifests, suites: Optional[set] = None) -> Optional[str
     )
 
 
-def _filter_records(records: Sequence[InstanceRecord], spec: FigureSpec) -> List[InstanceRecord]:
-    """Restrict store records to one figure's suite, allocators and registers."""
-    allocators = set(spec.allocators)
-    registers = set(spec.register_counts)
-    prefix = f"{spec.suite}/"
-    return [
-        record
-        for record in records
-        if record.instance.startswith(prefix)
-        and record.allocator in allocators
-        and record.num_registers in registers
-    ]
-
-
 def _command_aggregate(args: argparse.Namespace) -> int:
     """Summarize the store's records through the standard statistics."""
     with _open_command_store(args.store, existing=True) as store:
@@ -1154,24 +1134,24 @@ def _command_aggregate(args: argparse.Namespace) -> int:
     if mixed:
         return _error(mixed)
     if args.figure:
-        records = _filter_records(records, FIGURE_SPECS[args.figure])
+        records = FIGURE_SPECS[args.figure].select(records)
     if not records:
         return _error(f"no matching records in store {args.store}; run `repro-alloc sweep` first")
-    allocators = sorted({record.allocator for record in records})
-    register_counts = sorted({record.num_registers for record in records})
-    normalized, unbounded = normalize_records(records)
-    if not normalized:
+    if not any(record.allocator.lower() == "optimal" for record in records):
         return _error(
             "no records could be normalized: the store has no 'Optimal' baseline "
             "cells for these instances — include Optimal in the sweep's --allocators"
         )
-    series = mean_ratio_by(normalized, allocators, register_counts)
-    table = render_table(series, register_counts, row_header="allocator", column_format=lambda c: f"R={c}")
-    print(render_figure("Aggregate - mean normalized allocation cost", table))
+    allocators = sorted({record.allocator for record in records})
+    register_counts = sorted({record.num_registers for record in records})
+    # The store's own grid, drawn as a mean figure.
+    spec = FigureSpec("", None, allocators, register_counts, "Aggregate - mean normalized allocation cost")
+    result = draw_figure("aggregate", spec, records=records)
+    print(result.rendered)
     instances = len({record.instance for record in records})
     print(
         f"records={len(records)} instances={instances} allocators={len(allocators)} "
-        f"register_counts={len(register_counts)} unbounded={unbounded}"
+        f"register_counts={len(register_counts)} unbounded={result.unbounded_records}"
     )
     return 0
 
@@ -1180,7 +1160,7 @@ def _command_report(args: argparse.Namespace) -> int:
     """Render one figure from store records, without running any allocator."""
     spec = FIGURE_SPECS[args.name]
     with _open_command_store(args.store, existing=True) as store:
-        records = _filter_records(store.records(), spec)
+        records = spec.select(store.records())
         manifests = store.manifests()
     mixed = _mixed_corpus_error(manifests, {spec.suite})
     if mixed:
@@ -1214,6 +1194,10 @@ def _command_report(args: argparse.Namespace) -> int:
 
 def _command_corpus(args: argparse.Namespace) -> int:
     """Build a corpus and print a summary line per instance."""
+    try:
+        check_scale(args.scale)
+    except ValueError as error:
+        return _error(str(error))
     corpus = build_corpus(args.suite, seed=args.seed, scale=args.scale)
     print(f"suite={corpus.suite} target={corpus.target} seed={corpus.seed} instances={len(corpus)}")
     for key, value in corpus.summary().items():

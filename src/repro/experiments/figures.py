@@ -1,11 +1,13 @@
 """Per-figure reproduction entry points.
 
-Each ``figureN`` function rebuilds the corresponding corpus, runs the same
-allocators the paper compares, normalizes against the optimal allocator and
-returns a :class:`FigureResult` carrying both the structured series and a
-rendered ASCII table.  The benchmark harness (``benchmarks/``) calls these
-functions and prints the rendered text, so ``bench_output.txt`` contains the
-regenerated figures.
+:data:`FIGURE_SPECS` is the one definition of each paper figure: its corpus,
+the allocators and register counts the paper compares, its title and how it
+is drawn.  :func:`draw_figure` sweeps a spec's corpus (or takes records
+already swept), normalizes against the optimal allocator and returns a
+:class:`FigureResult` carrying both the structured series and a rendered
+ASCII table; ``figure8``…``figure15`` each draw one spec.  The benchmark
+harness (``benchmarks/``) calls these functions and prints the rendered
+text, so ``bench_output.txt`` contains the regenerated figures.
 
 The ``scale`` parameter shrinks the synthetic corpora (fraction of functions
 per program) so quick runs stay quick; ``scale=1.0`` is the full corpus.
@@ -13,8 +15,8 @@ per program) so quick runs stay quick; ``scale=1.0`` is the full corpus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.alloc import get_allocator
 from repro.experiments.report import render_distribution_table, render_figure, render_table
@@ -26,7 +28,7 @@ from repro.experiments.stats import (
     normalize_records,
     per_program_means,
 )
-from repro.workloads.corpus import Corpus, build_corpus
+from repro.workloads.corpus import build_corpus
 
 #: allocators compared in the chordal study (Figures 8-13).
 CHORDAL_ALLOCATORS = ("GC", "NL", "FPL", "BL", "BFPL", "Optimal")
@@ -40,30 +42,75 @@ GENERAL_REGISTER_COUNTS = (2, 4, 6, 8, 10, 12, 14, 16)
 
 @dataclass(frozen=True)
 class FigureSpec:
-    """The sweep a figure needs: corpus and (allocator × register) grid.
+    """One figure: its corpus, (allocator × register) grid, title and drawing.
 
-    The ``sweep``/``report`` CLI subcommands and ``figure --store`` use these
-    specs to run the sweep through the experiment store and to filter a
-    store's records back down to one figure's cells.
+    ``sweep``, ``reproduce``, ``report`` and ``aggregate`` plan and select
+    store cells with these specs, and :func:`draw_figure` draws them.
+    ``kind`` is ``"mean"`` (mean normalized cost per allocator and register
+    count), ``"distribution"`` (its spread over instances, heuristics only)
+    or ``"per_program"`` (mean per benchmark program at the spec's one
+    register count, which fills ``{register_count}`` in the title).
     """
 
     suite: str
     target: Optional[str]
     allocators: Sequence[str]
     register_counts: Sequence[int]
+    title: str = ""
+    kind: str = "mean"
+
+    def select(self, records: Iterable[InstanceRecord]) -> List[InstanceRecord]:
+        """The records of this spec's suite, allocators and register counts."""
+        allocators = set(self.allocators)
+        registers = set(self.register_counts)
+        prefix = f"{self.suite}/"
+        return [
+            record
+            for record in records
+            if record.instance.startswith(prefix)
+            and record.allocator in allocators
+            and record.num_registers in registers
+        ]
 
 
-#: sweep specifications of the figures whose records can flow through the
-#: experiment store (the companion studies drive the allocators directly).
+#: the paper's figures, by identifier.
 FIGURE_SPECS: Dict[str, FigureSpec] = {
-    "figure8": FigureSpec("spec2000int", "st231", CHORDAL_ALLOCATORS, CHORDAL_REGISTER_COUNTS),
-    "figure9": FigureSpec("eembc", "st231", CHORDAL_ALLOCATORS, CHORDAL_REGISTER_COUNTS),
-    "figure10": FigureSpec("lao_kernels", "armv7-a8", CHORDAL_ALLOCATORS, CHORDAL_REGISTER_COUNTS),
-    "figure11": FigureSpec("spec2000int", "st231", CHORDAL_ALLOCATORS, CHORDAL_REGISTER_COUNTS),
-    "figure12": FigureSpec("eembc", "st231", CHORDAL_ALLOCATORS, CHORDAL_REGISTER_COUNTS),
-    "figure13": FigureSpec("lao_kernels", "armv7-a8", CHORDAL_ALLOCATORS, CHORDAL_REGISTER_COUNTS),
-    "figure14": FigureSpec("specjvm98", "jikesrvm-ia32", GENERAL_ALLOCATORS, GENERAL_REGISTER_COUNTS),
-    "figure15": FigureSpec("specjvm98", "jikesrvm-ia32", GENERAL_ALLOCATORS, (6,)),
+    "figure8": FigureSpec(
+        "spec2000int", "st231", CHORDAL_ALLOCATORS, CHORDAL_REGISTER_COUNTS,
+        title="Figure 8 - Allocation cost, SPEC CPU 2000int stand-in on ST231 (normalized to Optimal)",
+    ),
+    "figure9": FigureSpec(
+        "eembc", "st231", CHORDAL_ALLOCATORS, CHORDAL_REGISTER_COUNTS,
+        title="Figure 9 - Allocation cost, EEMBC stand-in on ST231 (normalized to Optimal)",
+    ),
+    "figure10": FigureSpec(
+        "lao_kernels", "armv7-a8", CHORDAL_ALLOCATORS, CHORDAL_REGISTER_COUNTS,
+        title="Figure 10 - Allocation cost, lao-kernels stand-in on ARMv7 (normalized to Optimal)",
+    ),
+    "figure11": FigureSpec(
+        "spec2000int", "st231", CHORDAL_ALLOCATORS, CHORDAL_REGISTER_COUNTS,
+        title="Figure 11 - Distribution of normalized costs, SPEC CPU 2000int stand-in on ST231",
+        kind="distribution",
+    ),
+    "figure12": FigureSpec(
+        "eembc", "st231", CHORDAL_ALLOCATORS, CHORDAL_REGISTER_COUNTS,
+        title="Figure 12 - Distribution of normalized costs, EEMBC stand-in on ST231",
+        kind="distribution",
+    ),
+    "figure13": FigureSpec(
+        "lao_kernels", "armv7-a8", CHORDAL_ALLOCATORS, CHORDAL_REGISTER_COUNTS,
+        title="Figure 13 - Distribution of normalized costs, lao-kernels stand-in on ARMv7",
+        kind="distribution",
+    ),
+    "figure14": FigureSpec(
+        "specjvm98", "jikesrvm-ia32", GENERAL_ALLOCATORS, GENERAL_REGISTER_COUNTS,
+        title="Figure 14 - Layered heuristic vs baselines, SPEC JVM98 stand-in (normalized to Optimal)",
+    ),
+    "figure15": FigureSpec(
+        "specjvm98", "jikesrvm-ia32", GENERAL_ALLOCATORS, (6,),
+        title="Figure 15 - Per-benchmark normalized cost at R={register_count}, SPEC JVM98 stand-in",
+        kind="per_program",
+    ),
 }
 
 
@@ -92,290 +139,123 @@ class FigureResult:
 # shared machinery
 # ---------------------------------------------------------------------- #
 def _run_suite(
-    suite: str,
-    target: Optional[str],
-    allocators: Sequence[str],
-    register_counts: Sequence[int],
-    seed: int,
-    scale: float,
-    max_instances: Optional[int],
-    verify: bool,
+    spec: FigureSpec, seed: int, scale: float, max_instances: Optional[int], verify: bool
 ) -> List[InstanceRecord]:
-    """Build a corpus and run the sweep."""
-    corpus: Corpus = build_corpus(suite, target=target, seed=seed, scale=scale)
-    config = ExperimentConfig(
-        allocators=list(allocators),
-        register_counts=list(register_counts),
-        verify=verify,
-    )
+    """Build a spec's corpus and sweep its grid."""
+    corpus = build_corpus(spec.suite, target=spec.target, seed=seed, scale=scale)
+    config = ExperimentConfig(list(spec.allocators), list(spec.register_counts), verify=verify)
     return run_experiment(corpus, config, max_instances=max_instances)
 
 
-def _mean_cost_figure(
-    figure: str,
-    title: str,
-    suite: str,
-    target: Optional[str],
-    allocators: Sequence[str],
-    register_counts: Sequence[int],
-    seed: int,
-    scale: float,
-    max_instances: Optional[int],
-    verify: bool,
-    records: Optional[List[InstanceRecord]] = None,
+def draw_figure(
+    figure: str, spec: FigureSpec, seed: int = 2013, scale: float = 1.0, max_instances: Optional[int] = None,
+    verify: bool = True, records: Optional[List[InstanceRecord]] = None,
 ) -> FigureResult:
-    """Common implementation of the mean-normalized-cost figures (8, 9, 10, 14)."""
+    """Draw ``spec`` as ``figure``: sweep its corpus unless ``records`` are
+    given, normalize against Optimal and render the table.
+
+    Given records are drawn whole (each is normalized; the table shows the
+    spec's grid), so one sweep — a store, or one benchmark sweep per suite
+    — draws every figure of its suite.
+    """
     if records is None:
-        records = _run_suite(suite, target, allocators, register_counts, seed, scale, max_instances, verify)
+        records = _run_suite(spec, seed, scale, max_instances, verify)
     normalized, unbounded = normalize_records(records)
-    series = mean_ratio_by(normalized, allocators, register_counts)
-    table = render_table(series, register_counts, row_header="allocator", column_format=lambda c: f"R={c}")
-    return FigureResult(
-        figure=figure,
-        title=title,
-        series=series,
-        records=records,
-        unbounded_records=unbounded,
-        rendered=render_figure(title, table),
-    )
+    result = FigureResult(figure=figure, title=spec.title, records=records, unbounded_records=unbounded)
+    if spec.kind == "mean":
+        result.series = mean_ratio_by(normalized, spec.allocators, spec.register_counts)
+        table = render_table(
+            result.series, spec.register_counts, row_header="allocator", column_format=lambda c: f"R={c}"
+        )
+    elif spec.kind == "distribution":
+        heuristics = [a for a in spec.allocators if a.lower() != "optimal"]
+        result.distributions = distribution_by(normalized, heuristics, spec.register_counts)
+        table = render_distribution_table(result.distributions, spec.register_counts)
+    elif spec.kind == "per_program":
+        (register_count,) = spec.register_counts
+        result.title = spec.title.format(register_count=register_count)
+        result.series = per_program_means(normalized, list(spec.allocators), register_count)
+        table = render_table(result.series, list(spec.allocators), row_header="benchmark")
+    else:
+        raise ValueError(f"unknown figure kind {spec.kind!r} for {figure}")
+    result.rendered = render_figure(result.title, table)
+    return result
 
 
-def _distribution_figure(
-    figure: str,
-    title: str,
-    suite: str,
-    target: Optional[str],
-    allocators: Sequence[str],
-    register_counts: Sequence[int],
-    seed: int,
-    scale: float,
-    max_instances: Optional[int],
-    verify: bool,
-    records: Optional[List[InstanceRecord]] = None,
+def _paper_figure(
+    figure: str, register_counts: Sequence[int], seed: int, scale: float, max_instances: Optional[int],
+    verify: bool, records: Optional[List[InstanceRecord]],
 ) -> FigureResult:
-    """Common implementation of the distribution figures (11, 12, 13)."""
-    if records is None:
-        records = _run_suite(suite, target, allocators, register_counts, seed, scale, max_instances, verify)
-    normalized, unbounded = normalize_records(records)
-    heuristics = [a for a in allocators if a.lower() != "optimal"]
-    distributions = distribution_by(normalized, heuristics, register_counts)
-    table = render_distribution_table(distributions, register_counts)
-    return FigureResult(
-        figure=figure,
-        title=title,
-        distributions=distributions,
-        records=records,
-        unbounded_records=unbounded,
-        rendered=render_figure(title, table),
-    )
+    """Draw the paper figure ``figure`` over ``register_counts``."""
+    spec = replace(FIGURE_SPECS[figure], register_counts=tuple(register_counts))
+    return draw_figure(figure, spec, seed, scale, max_instances, verify, records)
 
 
 # ---------------------------------------------------------------------- #
-# chordal study (Open64-style pipeline)
+# the paper's figures: chordal study (8-13), JikesRVM-style study (14-15)
 # ---------------------------------------------------------------------- #
 def figure8(
-    seed: int = 2013,
-    scale: float = 1.0,
-    register_counts: Sequence[int] = CHORDAL_REGISTER_COUNTS,
-    max_instances: Optional[int] = None,
-    verify: bool = True,
-    records: Optional[List[InstanceRecord]] = None,
+    seed: int = 2013, scale: float = 1.0, register_counts: Sequence[int] = FIGURE_SPECS["figure8"].register_counts,
+    max_instances: Optional[int] = None, verify: bool = True, records: Optional[List[InstanceRecord]] = None,
 ) -> FigureResult:
     """Figure 8: mean normalized allocation cost, SPEC CPU2000int on ST231."""
-    return _mean_cost_figure(
-        "figure8",
-        "Figure 8 - Allocation cost, SPEC CPU 2000int stand-in on ST231 (normalized to Optimal)",
-        "spec2000int",
-        "st231",
-        CHORDAL_ALLOCATORS,
-        register_counts,
-        seed,
-        scale,
-        max_instances,
-        verify,
-        records,
-    )
+    return _paper_figure("figure8", register_counts, seed, scale, max_instances, verify, records)
 
 
 def figure9(
-    seed: int = 2013,
-    scale: float = 1.0,
-    register_counts: Sequence[int] = CHORDAL_REGISTER_COUNTS,
-    max_instances: Optional[int] = None,
-    verify: bool = True,
-    records: Optional[List[InstanceRecord]] = None,
+    seed: int = 2013, scale: float = 1.0, register_counts: Sequence[int] = FIGURE_SPECS["figure9"].register_counts,
+    max_instances: Optional[int] = None, verify: bool = True, records: Optional[List[InstanceRecord]] = None,
 ) -> FigureResult:
     """Figure 9: mean normalized allocation cost, EEMBC on ST231."""
-    return _mean_cost_figure(
-        "figure9",
-        "Figure 9 - Allocation cost, EEMBC stand-in on ST231 (normalized to Optimal)",
-        "eembc",
-        "st231",
-        CHORDAL_ALLOCATORS,
-        register_counts,
-        seed,
-        scale,
-        max_instances,
-        verify,
-        records,
-    )
+    return _paper_figure("figure9", register_counts, seed, scale, max_instances, verify, records)
 
 
 def figure10(
-    seed: int = 2013,
-    scale: float = 1.0,
-    register_counts: Sequence[int] = CHORDAL_REGISTER_COUNTS,
-    max_instances: Optional[int] = None,
-    verify: bool = True,
-    records: Optional[List[InstanceRecord]] = None,
+    seed: int = 2013, scale: float = 1.0, register_counts: Sequence[int] = FIGURE_SPECS["figure10"].register_counts,
+    max_instances: Optional[int] = None, verify: bool = True, records: Optional[List[InstanceRecord]] = None,
 ) -> FigureResult:
     """Figure 10: mean normalized allocation cost, lao-kernels on ARMv7."""
-    return _mean_cost_figure(
-        "figure10",
-        "Figure 10 - Allocation cost, lao-kernels stand-in on ARMv7 (normalized to Optimal)",
-        "lao_kernels",
-        "armv7-a8",
-        CHORDAL_ALLOCATORS,
-        register_counts,
-        seed,
-        scale,
-        max_instances,
-        verify,
-        records,
-    )
+    return _paper_figure("figure10", register_counts, seed, scale, max_instances, verify, records)
 
 
 def figure11(
-    seed: int = 2013,
-    scale: float = 1.0,
-    register_counts: Sequence[int] = CHORDAL_REGISTER_COUNTS,
-    max_instances: Optional[int] = None,
-    verify: bool = True,
-    records: Optional[List[InstanceRecord]] = None,
+    seed: int = 2013, scale: float = 1.0, register_counts: Sequence[int] = FIGURE_SPECS["figure11"].register_counts,
+    max_instances: Optional[int] = None, verify: bool = True, records: Optional[List[InstanceRecord]] = None,
 ) -> FigureResult:
     """Figure 11: distribution of normalized costs over SPEC CPU2000int programs."""
-    return _distribution_figure(
-        "figure11",
-        "Figure 11 - Distribution of normalized costs, SPEC CPU 2000int stand-in on ST231",
-        "spec2000int",
-        "st231",
-        CHORDAL_ALLOCATORS,
-        register_counts,
-        seed,
-        scale,
-        max_instances,
-        verify,
-        records,
-    )
+    return _paper_figure("figure11", register_counts, seed, scale, max_instances, verify, records)
 
 
 def figure12(
-    seed: int = 2013,
-    scale: float = 1.0,
-    register_counts: Sequence[int] = CHORDAL_REGISTER_COUNTS,
-    max_instances: Optional[int] = None,
-    verify: bool = True,
-    records: Optional[List[InstanceRecord]] = None,
+    seed: int = 2013, scale: float = 1.0, register_counts: Sequence[int] = FIGURE_SPECS["figure12"].register_counts,
+    max_instances: Optional[int] = None, verify: bool = True, records: Optional[List[InstanceRecord]] = None,
 ) -> FigureResult:
     """Figure 12: distribution of normalized costs over EEMBC programs."""
-    return _distribution_figure(
-        "figure12",
-        "Figure 12 - Distribution of normalized costs, EEMBC stand-in on ST231",
-        "eembc",
-        "st231",
-        CHORDAL_ALLOCATORS,
-        register_counts,
-        seed,
-        scale,
-        max_instances,
-        verify,
-        records,
-    )
+    return _paper_figure("figure12", register_counts, seed, scale, max_instances, verify, records)
 
 
 def figure13(
-    seed: int = 2013,
-    scale: float = 1.0,
-    register_counts: Sequence[int] = CHORDAL_REGISTER_COUNTS,
-    max_instances: Optional[int] = None,
-    verify: bool = True,
-    records: Optional[List[InstanceRecord]] = None,
+    seed: int = 2013, scale: float = 1.0, register_counts: Sequence[int] = FIGURE_SPECS["figure13"].register_counts,
+    max_instances: Optional[int] = None, verify: bool = True, records: Optional[List[InstanceRecord]] = None,
 ) -> FigureResult:
     """Figure 13: distribution of normalized costs over lao-kernels programs."""
-    return _distribution_figure(
-        "figure13",
-        "Figure 13 - Distribution of normalized costs, lao-kernels stand-in on ARMv7",
-        "lao_kernels",
-        "armv7-a8",
-        CHORDAL_ALLOCATORS,
-        register_counts,
-        seed,
-        scale,
-        max_instances,
-        verify,
-        records,
-    )
+    return _paper_figure("figure13", register_counts, seed, scale, max_instances, verify, records)
 
 
-# ---------------------------------------------------------------------- #
-# non-chordal study (JikesRVM-style pipeline)
-# ---------------------------------------------------------------------- #
 def figure14(
-    seed: int = 2013,
-    scale: float = 1.0,
-    register_counts: Sequence[int] = GENERAL_REGISTER_COUNTS,
-    max_instances: Optional[int] = None,
-    verify: bool = True,
-    records: Optional[List[InstanceRecord]] = None,
+    seed: int = 2013, scale: float = 1.0, register_counts: Sequence[int] = FIGURE_SPECS["figure14"].register_counts,
+    max_instances: Optional[int] = None, verify: bool = True, records: Optional[List[InstanceRecord]] = None,
 ) -> FigureResult:
-    """Figure 14: mean normalized cost on SPEC JVM98 stand-in, R from 2 to 16."""
-    return _mean_cost_figure(
-        "figure14",
-        "Figure 14 - Layered heuristic vs baselines, SPEC JVM98 stand-in (normalized to Optimal)",
-        "specjvm98",
-        "jikesrvm-ia32",
-        GENERAL_ALLOCATORS,
-        register_counts,
-        seed,
-        scale,
-        max_instances,
-        verify,
-        records,
-    )
+    """Figure 14: mean normalized cost on the SPEC JVM98 stand-in, per register count."""
+    return _paper_figure("figure14", register_counts, seed, scale, max_instances, verify, records)
 
 
 def figure15(
-    seed: int = 2013,
-    scale: float = 1.0,
-    register_count: int = 6,
-    max_instances: Optional[int] = None,
-    verify: bool = True,
-    records: Optional[List[InstanceRecord]] = None,
+    seed: int = 2013, scale: float = 1.0, register_count: int = FIGURE_SPECS["figure15"].register_counts[0],
+    max_instances: Optional[int] = None, verify: bool = True, records: Optional[List[InstanceRecord]] = None,
 ) -> FigureResult:
-    """Figure 15: per-benchmark normalized cost at 6 registers (JVM study)."""
-    if records is None:
-        records = _run_suite(
-            "specjvm98",
-            "jikesrvm-ia32",
-            GENERAL_ALLOCATORS,
-            (register_count,),
-            seed,
-            scale,
-            max_instances,
-            verify,
-        )
-    normalized, unbounded = normalize_records(records)
-    table_data = per_program_means(normalized, list(GENERAL_ALLOCATORS), register_count)
-    title = f"Figure 15 - Per-benchmark normalized cost at R={register_count}, SPEC JVM98 stand-in"
-    table = render_table(table_data, list(GENERAL_ALLOCATORS), row_header="benchmark")
-    return FigureResult(
-        figure="figure15",
-        title=title,
-        series=table_data,
-        records=records,
-        unbounded_records=unbounded,
-        rendered=render_figure(title, table),
-    )
+    """Figure 15: per-benchmark normalized cost at ``register_count`` registers (JVM study)."""
+    return _paper_figure("figure15", (register_count,), seed, scale, max_instances, verify, records)
 
 
 # ---------------------------------------------------------------------- #
@@ -459,20 +339,11 @@ def ablation_study(
     verify: bool = True,
 ) -> FigureResult:
     """Ablation of the two improvements (bias, fixed point) over plain NL."""
-    allocators = ("NL", "BL", "FPL", "BFPL", "Optimal")
-    records = _run_suite(suite, None, allocators, register_counts, seed, scale, max_instances, verify)
-    normalized, unbounded = normalize_records(records)
-    series = mean_ratio_by(normalized, allocators, register_counts)
-    table = render_table(series, register_counts, row_header="allocator", column_format=lambda c: f"R={c}")
-    title = f"Ablation - contribution of biasing and fixed-point iteration ({suite} stand-in)"
-    return FigureResult(
-        figure="ablation",
-        title=title,
-        series=series,
-        records=records,
-        unbounded_records=unbounded,
-        rendered=render_figure(title, table),
+    spec = FigureSpec(
+        suite, None, ("NL", "BL", "FPL", "BFPL", "Optimal"), tuple(register_counts),
+        title=f"Ablation - contribution of biasing and fixed-point iteration ({suite} stand-in)",
     )
+    return draw_figure("ablation", spec, seed, scale, max_instances, verify)
 
 
 ALL_FIGURES = {

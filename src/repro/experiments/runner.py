@@ -194,6 +194,12 @@ def _run_cells_worker(
     return records, tracer.snapshot()
 
 
+def check_max_instances(max_instances: Optional[int]) -> None:
+    """Raise ``ValueError`` for a ``max_instances`` below 1 (``None`` is no limit)."""
+    if max_instances is not None and max_instances < 1:
+        raise ValueError(f"max_instances must be >= 1, got {max_instances}")
+
+
 def _select_instances(
     corpus: Corpus | Iterable[AllocationProblem],
     config: ExperimentConfig,
@@ -240,7 +246,8 @@ def run_experiment(
     """Run the configured sweep over a corpus and return raw records.
 
     ``max_instances`` truncates the corpus, which the quick benchmarks use to
-    bound their runtime; the full figures run the whole corpus.
+    bound their runtime; the full figures run the whole corpus.  A
+    ``max_instances`` below 1 raises ``ValueError``.
 
     ``backend`` selects *where* missing cells execute (see
     :mod:`repro.experiments.backends`): the default
@@ -260,6 +267,7 @@ def run_experiment(
     verified when first computed.
     """
     config.validate()
+    check_max_instances(max_instances)
     backend = _resolve_backend(backend)
     selected = _select_instances(corpus, config, max_instances)
 
@@ -456,6 +464,7 @@ def run_streamed_experiment(
     (a bare iterable carries none of its own).
     """
     config.validate()
+    check_max_instances(max_instances)
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     backend = _resolve_backend(backend)

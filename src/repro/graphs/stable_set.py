@@ -1,6 +1,6 @@
 """Maximum weighted stable (independent) sets.
 
-The heart of the layered-optimal allocator: with ``step = 1`` register, the
+The heart of the layered-optimal allocator: with one register, the
 optimal allocation on a chordal interference graph is exactly a maximum
 weighted stable set, computable in ``O(|V|+|E|)`` with Frank's algorithm
 (Frank 1975) given a perfect elimination order — the paper's Algorithm 1.

@@ -48,6 +48,7 @@ from repro.errors import ServiceError
 from repro.service import api
 from repro.service.queue import JobQueue
 from repro.service.workers import ServiceTelemetry, WorkerPool
+from repro.store.base import open_store
 
 #: largest accepted request body (a corpus function is a few KiB; 8 MiB is
 #: generous headroom, anything larger is likely a client bug).
@@ -79,6 +80,11 @@ class AllocationService:
     ) -> None:
         self.store_path = Path(store_path)
         self.queue_path = Path(queue_path) if queue_path is not None else default_queue_path(store_path)
+        # Reject bad arguments here, before the store or the queue database
+        # is created and before the server binds.
+        if workers < 0:
+            raise ServiceError(f"workers must be >= 0, got {workers}")
+        open_store(self.store_path).close()
         self.telemetry = ServiceTelemetry()
         self.queue = JobQueue(self.queue_path, tracer=self.telemetry)
         #: jobs found ``running`` at startup and re-queued (crash recovery).

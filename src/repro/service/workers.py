@@ -134,11 +134,6 @@ class WorkerPool:
         poll_interval: float = 0.05,
         telemetry: Optional[ServiceTelemetry] = None,
     ) -> None:
-        if workers < 0:
-            raise ServiceError(f"workers must be >= 0, got {workers}")
-        # Open the store once so an unusable path fails here, before the
-        # server binds, rather than in every worker thread.
-        open_store(store_path).close()
         self.queue = queue
         self.store_path = str(store_path)
         self.telemetry = telemetry if telemetry is not None else ServiceTelemetry()

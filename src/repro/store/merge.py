@@ -26,6 +26,7 @@ store replays the same history regardless of source order.
 from __future__ import annotations
 
 import dataclasses
+from contextlib import ExitStack
 from typing import Any, Dict, List, Sequence, Tuple, Union
 
 from repro.errors import MergeConflictError
@@ -73,43 +74,38 @@ def merge_batches(
 
     ``dest`` and each source may be an open :class:`ExperimentStore` or a
     path (opened via :func:`~repro.store.base.open_store` and closed again
-    afterwards).  Sources are processed in the given order, each checked
-    against the *current* destination state, so conflicts between two
-    sources surface just like conflicts with pre-existing destination
-    cells.  Raises :class:`MergeConflictError` on the first divergent
-    cell; the destination is flushed before the raise, so everything
-    merged up to the conflicting source remains durable and inspectable.
+    afterwards).  Every source is opened before ``dest``, so a source that
+    is not a store fails before a destination path is created or touched.
+    Sources are processed in the given order, each checked against the
+    *current* destination state, so conflicts between two sources surface
+    just like conflicts with pre-existing destination cells.  Raises
+    :class:`MergeConflictError` on the first divergent cell; the
+    destination is flushed before the raise, so everything merged up to
+    the conflicting source remains durable and inspectable.
     """
     tracer = current_tracer()
     report = MergeReport()
-    dest_store, close_dest = _as_store(dest)
-    try:
+    with ExitStack() as opened:
+        source_stores = [_as_store(source, opened) for source in sources]
+        dest_store = _as_store(dest, opened)
         with tracer.span("backend:merge", category="backend", sources=len(sources)):
             seen_runs = {manifest.run_id for manifest in dest_store.manifests()}
             pending_manifests: List[Tuple[str, str, Any]] = []
-            for source in sources:
-                source_store, close_source = _as_store(source)
-                try:
-                    _merge_cells(dest_store, source_store, report)
-                    for manifest in source_store.manifests():
-                        if manifest.run_id in seen_runs:
-                            continue
-                        seen_runs.add(manifest.run_id)
-                        pending_manifests.append(
-                            (manifest.created_at, manifest.run_id, manifest)
-                        )
-                finally:
-                    if close_source:
-                        source_store.close()
+            for source_store in source_stores:
+                _merge_cells(dest_store, source_store, report)
+                for manifest in source_store.manifests():
+                    if manifest.run_id in seen_runs:
+                        continue
+                    seen_runs.add(manifest.run_id)
+                    pending_manifests.append(
+                        (manifest.created_at, manifest.run_id, manifest)
+                    )
                 report.sources += 1
             for _, _, manifest in sorted(pending_manifests, key=lambda m: (m[0], m[1])):
                 dest_store.add_manifest(manifest)
                 report.manifests_added += 1
             if flush:
                 dest_store.flush()
-    finally:
-        if close_dest:
-            dest_store.close()
     return report
 
 
@@ -142,10 +138,8 @@ def _merge_cells(
         report.added += len(to_add)
 
 
-def _as_store(
-    store_or_path: Union[str, ExperimentStore],
-) -> Tuple[ExperimentStore, bool]:
-    """Normalize a store-or-path argument; the bool says "close when done"."""
+def _as_store(store_or_path: Union[str, ExperimentStore], opened: ExitStack) -> ExperimentStore:
+    """An open store; a path is opened here and closed when ``opened`` exits."""
     if isinstance(store_or_path, ExperimentStore):
-        return store_or_path, False
-    return open_store(store_or_path), True
+        return store_or_path
+    return opened.enter_context(open_store(store_or_path))

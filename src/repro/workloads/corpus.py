@@ -26,6 +26,7 @@ Two constructions live here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
@@ -151,6 +152,12 @@ class CorpusStream:
             yield self.problem_at(index)
 
 
+def check_scale(scale: float) -> None:
+    """Raise ``ValueError`` unless ``scale`` is a finite number > 0."""
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"corpus scale must be a finite number > 0, got {scale}")
+
+
 def build_corpus(
     suite: SuiteSpec | str,
     target: Optional[TargetMachine | str] = None,
@@ -161,8 +168,10 @@ def build_corpus(
 
     ``scale`` multiplies the number of functions per program (used by the
     quick benchmarks to run on a slice of the corpus and by stress tests to
-    enlarge it); a minimum of one function per program is kept.
+    enlarge it); a minimum of one function per program is kept.  A scale
+    that is not a finite number > 0 raises ``ValueError``.
     """
+    check_scale(scale)
     if isinstance(suite, str):
         suite = get_suite(suite)
     if target is None:

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.alloc.base import available_allocators, get_allocator
-from repro.alloc.layered import LayeredOptimalAllocator, allocate_layered, optimal_layer
+from repro.alloc.layered import LayeredOptimalAllocator, optimal_layer
 from repro.alloc.problem import AllocationProblem
-from repro.alloc.verify import check_allocation, is_allocation_feasible
+from repro.alloc.verify import check_allocation
 from repro.errors import AllocationError
 from repro.graphs.generators import complete_graph, path_graph, random_chordal_graph
 from repro.graphs.stable_set import is_stable_set
@@ -50,16 +50,6 @@ def test_optimal_layer_respects_candidates(figure4_graph):
 
 def test_optimal_layer_empty_candidates(figure4_graph):
     assert optimal_layer(figure4_graph, set()) == []
-
-
-def test_optimal_layer_invalid_step(figure4_graph):
-    with pytest.raises(AllocationError):
-        optimal_layer(figure4_graph, {"a"}, step=0)
-
-
-def test_optimal_layer_step_two_allocates_two_colorable_set(figure7_graph):
-    layer = optimal_layer(figure7_graph, set(figure7_graph.vertices()), step=2)
-    assert is_allocation_feasible(figure7_graph, layer, 2).feasible
 
 
 # ---------------------------------------------------------------------- #
@@ -113,25 +103,6 @@ def test_nl_on_path_graph_allocates_everything_with_two_registers():
     graph = path_graph(6)
     result = LayeredOptimalAllocator().allocate(make_problem(graph, 2))
     assert result.spilled == frozenset()
-
-
-def test_nl_functional_wrapper(figure4_graph):
-    result = allocate_layered(figure4_graph, 2, name="fig4")
-    assert result.allocator == "NL"
-    assert result.num_registers == 2
-
-
-def test_nl_step_parameter_validation():
-    with pytest.raises(AllocationError):
-        LayeredOptimalAllocator(step=0)
-
-
-def test_nl_step_two_is_feasible_and_no_worse_than_step_one(figure4_graph):
-    problem = make_problem(figure4_graph, 2)
-    one = LayeredOptimalAllocator(step=1).allocate(problem)
-    two = LayeredOptimalAllocator(step=2).allocate(problem)
-    check_allocation(problem, two)
-    assert two.spill_cost <= one.spill_cost + 1e-9
 
 
 @settings(max_examples=30, deadline=None)

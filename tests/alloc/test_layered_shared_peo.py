@@ -38,12 +38,12 @@ BRUTE_FORCE_MAX_VERTICES = 12
 
 
 def _layers(graph, num_registers, peo):
-    """Replicate NL's step=1 round loop, recording each layer."""
+    """Replicate NL's round loop, recording each layer."""
     candidates = set(graph.vertices())
     layers = []
     rounds = 0
     while candidates and rounds < num_registers:
-        layer = optimal_layer(graph, candidates, step=1, peo=peo)
+        layer = optimal_layer(graph, candidates, peo=peo)
         if not layer:
             break
         layers.append(list(layer))
@@ -117,7 +117,7 @@ def test_all_layered_allocators_match_seed_path(allocator_factory):
 
 
 def test_nl_identical_spill_costs_on_existing_corpora():
-    """Acceptance: NL (step=1) matches the seed path on the standard corpora."""
+    """Acceptance: NL matches the seed path on the standard corpora."""
     for suite in ("spec2000int", "eembc", "lao_kernels"):
         corpus = build_corpus(suite, seed=2013, scale=0.2)
         for problem in corpus:

@@ -183,7 +183,7 @@ def test_graph_digest_pinned_by_value(name, dense):
 
 @pytest.mark.parametrize("suite", sorted(CORPUS_PINS))
 def test_corpus_first_instance_digest_pinned_by_value(suite):
-    problem = build_corpus(suite, seed=2013, scale=0.0).problems[0]
+    problem = build_corpus(suite, seed=2013, scale=0.01).problems[0]  # one function per program
     assert graph_digest(problem.graph) == CORPUS_PINS[suite]
 
 

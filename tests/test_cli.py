@@ -7,6 +7,7 @@ import pytest
 from repro.cli import main
 from repro.graphs.io import dump_graph
 from repro.ir.printer import print_function
+from repro.store import open_store
 from repro.workloads.programs import GeneratorProfile, generate_function
 from tests.conftest import build_paper_figure4_graph
 
@@ -365,6 +366,27 @@ class TestExitCodeContract:
             ["sweep", "--figure", "figure9", "--store", "notes.txt"],
             ["figure", "figure9", "--scale", "0.1", "--store", "notes.txt"],
             ["merge-batches", "--into", "merged.sqlite", "notes.txt"],
+            # a good shard, then a bad one: nothing is merged
+            ["merge-batches", "--into", "merged.sqlite", "good.sqlite", "notes.txt"],
+            # a corpus scale that is not a finite number > 0
+            ["figure", "figure9", "--scale", "-1"],
+            ["figure", "figure9", "--scale", "0"],
+            ["figure", "figure9", "--scale", "nan"],
+            ["figure", "figure9", "--scale", "inf"],
+            ["figure", "ablation", "--scale", "0"],
+            ["corpus", "--scale", "nan"],
+            ["sweep", "--figure", "figure10", "--scale", "-1", "--store", "s.sqlite"],
+            ["sweep", "--figure", "figure9", "--scale", "nan", "--store", "s.sqlite"],
+            ["reproduce", "--figure", "figure9", "--scale", "inf", "--store", "s.sqlite"],
+            ["figure", "figure9", "--scale", "0", "--store", "s.sqlite"],
+            # an instance limit below 1
+            ["figure", "figure9", "--max-instances", "0"],
+            ["sweep", "--figure", "figure9", "--max-instances", "-2", "--store", "s.sqlite"],
+            ["sweep", "--corpus", "5", "--allocators", "NL", "--registers", "4",
+             "--max-instances", "0", "--store", "s.sqlite"],
+            ["reproduce", "--figure", "figure9", "--max-instances", "0", "--store", "s.sqlite"],
+            # a negative worker count
+            ["serve", "--store", "s.sqlite", "--port", "0", "--workers", "-1"],
         ],
     )
     def test_domain_failures_exit_1_without_traceback(self, argv, tmp_path, capsys, monkeypatch):
@@ -372,12 +394,20 @@ class TestExitCodeContract:
         if argv[0] == "submit":
             (tmp_path / "x.ir").write_text("func @f(%a) {\nentry:\n  ret %a\n}\n")
         (tmp_path / "notes.txt").write_text("not a database\n")
+        if "good.sqlite" in argv:
+            open_store(tmp_path / "good.sqlite").close()
+        before = sorted(path.name for path in tmp_path.iterdir())
         assert main(argv) == 1, f"expected exit 1 from {argv}"
         captured = capsys.readouterr()
         assert "error" in captured.err
         assert "Traceback" not in captured.err
         if "notes.txt" in argv:
             assert captured.err.count("\n") == 1 and "notes.txt" in captured.err
+        if "--scale" in argv or "--max-instances" in argv:
+            assert captured.err.count("\n") == 1
+            assert captured.err.startswith("repro-alloc: error: ")
+        # A failed command creates no file: no store, queue or merge target.
+        assert sorted(path.name for path in tmp_path.iterdir()) == before
 
     # -- exit 2: usage errors ------------------------------------------- #
     @pytest.mark.parametrize(
