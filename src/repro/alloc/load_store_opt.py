@@ -35,6 +35,7 @@ differential oracle in :mod:`repro.oracle`):
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Set, Tuple
 
@@ -58,14 +59,24 @@ class LoadStoreStats:
         return self.loads_before - self.loads_after
 
 
-def _use_index(function: Function) -> Tuple[Dict[VirtualRegister, int], Set[VirtualRegister]]:
-    """Count definitions and find registers used by φs or across blocks.
+#: per block label: (use positions, definition positions) of each register.
+BlockPositions = Dict[str, Tuple[Dict[VirtualRegister, List[int]], Dict[VirtualRegister, List[int]]]]
 
-    Returns ``(def_counts, unsafe)`` where ``unsafe`` holds every register
-    referenced by any φ — those uses happen on a CFG edge, outside the
-    straight-line region the availability analysis reasons about.
+
+def _index_function(
+    function: Function,
+) -> Tuple[BlockPositions, Dict[VirtualRegister, int], Dict[VirtualRegister, int], Set[VirtualRegister]]:
+    """One walk over ``function``: where each register is used and defined.
+
+    Returns ``(positions, def_counts, use_counts, unsafe)``: ascending use
+    and definition positions per block, function-wide definition and use
+    counts, and ``unsafe``, every register referenced by any φ — those uses
+    happen on a CFG edge, outside the straight-line region the availability
+    analysis reasons about.
     """
+    positions: BlockPositions = {}
     def_counts: Dict[VirtualRegister, int] = {}
+    use_counts: Dict[VirtualRegister, int] = {}
     for param in function.parameters:
         def_counts[param] = def_counts.get(param, 0) + 1
     unsafe: Set[VirtualRegister] = set()
@@ -73,19 +84,28 @@ def _use_index(function: Function) -> Tuple[Dict[VirtualRegister, int], Set[Virt
         for phi in block.phis:
             def_counts[phi.target] = def_counts.get(phi.target, 0) + 1
             unsafe.update(phi.used_registers())
-        for instruction in block.instructions:
-            for reg in instruction.defined_registers():
-                def_counts[reg] = def_counts.get(reg, 0) + 1
-    return def_counts, unsafe
-
-
-def _block_uses(instructions: List[Instruction]) -> Dict[VirtualRegister, List[int]]:
-    """Positions of every register use within one block's instruction list."""
-    uses: Dict[VirtualRegister, List[int]] = {}
-    for position, instruction in enumerate(instructions):
-        for reg in instruction.used_registers():
-            uses.setdefault(reg, []).append(position)
-    return uses
+        uses: Dict[VirtualRegister, List[int]] = {}
+        defs: Dict[VirtualRegister, List[int]] = {}
+        for position, instruction in enumerate(block.instructions):
+            for operand in instruction.uses:
+                if isinstance(operand, VirtualRegister):
+                    at = uses.get(operand)
+                    if at is None:
+                        uses[operand] = [position]
+                    else:
+                        at.append(position)
+            for reg in instruction.defs:
+                at = defs.get(reg)
+                if at is None:
+                    defs[reg] = [position]
+                else:
+                    at.append(position)
+        for reg, at in uses.items():
+            use_counts[reg] = use_counts.get(reg, 0) + len(at)
+        for reg, at in defs.items():
+            def_counts[reg] = def_counts.get(reg, 0) + len(at)
+        positions[block.label] = (uses, defs)
+    return positions, def_counts, use_counts, unsafe
 
 
 def remove_redundant_reloads(function: Function) -> Tuple[Function, int]:
@@ -99,44 +119,41 @@ def remove_redundant_reloads(function: Function) -> Tuple[Function, int]:
 
     Removal is conservative: see the module docstring for the exact safety
     conditions (single definition, same-block uses only, stable holder).
+    One indexing walk records where each register is used and defined;
+    then each block is walked once: a removed reload's uses are rewritten at
+    their indexed positions, a redefinition drops only the slots its
+    register holds, and holder stability is a bisect over the holder's
+    definition positions.
     """
     result = function.clone()
-    def_counts, phi_used = _use_index(result)
-
-    # Registers used in more than one block (or used by φs) cannot have their
-    # defining reload removed: the rewrite is purely intra-block.
-    use_blocks: Dict[VirtualRegister, Set[str]] = {}
-    for block in result:
-        for instruction in block.instructions:
-            for reg in instruction.used_registers():
-                use_blocks.setdefault(reg, set()).add(block.label)
+    positions, def_counts, use_counts, phi_used = _index_function(result)
 
     removed = 0
     for block in result:
         instructions = block.instructions
-        uses_here = _block_uses(instructions)
+        uses_here, defs_here = positions[block.label]
         available: Dict[Constant, VirtualRegister] = {}
-        replacements: Dict[VirtualRegister, VirtualRegister] = {}
+        #: reverse of ``available``: the slots each register currently holds.
+        held: Dict[VirtualRegister, Set[Constant]] = {}
         new_instructions: List[Instruction] = []
 
-        def invalidate_holders(registers: Iterable[VirtualRegister]) -> None:
-            redefined = set(registers)
-            stale = [slot for slot, holder in available.items() if holder in redefined]
-            for slot in stale:
-                del available[slot]
+        def hold(slot: Constant, holder: VirtualRegister) -> None:
+            previous = available.get(slot)
+            if previous is not None:
+                held[previous].discard(slot)
+            available[slot] = holder
+            slots = held.get(holder)
+            if slots is None:
+                held[holder] = {slot}
+            else:
+                slots.add(slot)
 
-        def holder_stable(holder: VirtualRegister, start: int, stop: int) -> bool:
-            """Whether ``holder`` has no definition in positions (start, stop]."""
-            for position in range(start + 1, stop + 1):
-                if holder in instructions[position].defined_registers():
-                    return False
-            return True
+        def invalidate_holders(registers: Iterable[VirtualRegister]) -> None:
+            for reg in registers:
+                for slot in held.pop(reg, ()):
+                    del available[slot]
 
         for index, instruction in enumerate(instructions):
-            # Rewrite uses through the replacement map built so far.
-            for old, new in replacements.items():
-                instruction.replace_use(old, new)
-
             opcode = instruction.opcode
             if opcode is Opcode.LOAD and isinstance(instruction.uses[0], Constant):
                 slot = instruction.uses[0]
@@ -147,36 +164,44 @@ def remove_redundant_reloads(function: Function) -> Tuple[Function, int]:
                     holder,
                     index,
                     uses_here,
-                    use_blocks,
-                    block.label,
+                    defs_here,
+                    use_counts,
                     def_counts,
                     phi_used,
-                    holder_stable,
                 ):
-                    replacements[destination] = holder
+                    # Every use sits later in this block: redirect them now.
+                    for position in uses_here.get(destination, ()):
+                        operands = instructions[position].uses
+                        operands[:] = [
+                            holder if operand == destination else operand
+                            for operand in operands
+                        ]
                     removed += 1
                     continue  # drop the redundant reload
                 # The load's destination is (re)defined here: any slot it was
                 # holding is stale from this point on.
-                invalidate_holders([destination])
-                available[slot] = destination
+                invalidate_holders((destination,))
+                hold(slot, destination)
             elif opcode is Opcode.STORE:
                 address = instruction.uses[0]
                 if isinstance(address, Constant):
                     value = instruction.uses[1]
                     if isinstance(value, VirtualRegister):
-                        available[address] = value
+                        hold(address, value)
                     else:
-                        available.pop(address, None)
+                        previous = available.pop(address, None)
+                        if previous is not None:
+                            held[previous].discard(address)
                 else:
                     # A store through a register may alias any slot.
                     available.clear()
-            else:
+                    held.clear()
+            elif instruction.defs:
                 # A redefinition of a register that was tracked as holding a
                 # slot value invalidates that availability.  Calls are pure in
                 # this IR (the interpreter models them as a deterministic
                 # function of the arguments) so they never clobber memory.
-                invalidate_holders(instruction.defined_registers())
+                invalidate_holders(instruction.defs)
             new_instructions.append(instruction)
         block.instructions = new_instructions
     return result, removed
@@ -187,25 +212,27 @@ def _removable(
     holder: VirtualRegister,
     index: int,
     uses_here: Dict[VirtualRegister, List[int]],
-    use_blocks: Dict[VirtualRegister, Set[str]],
-    label: str,
+    defs_here: Dict[VirtualRegister, List[int]],
+    use_counts: Dict[VirtualRegister, int],
     def_counts: Dict[VirtualRegister, int],
     phi_used: Set[VirtualRegister],
-    holder_stable,
 ) -> bool:
     """Safety check for removing one reload (see module docstring)."""
     if def_counts.get(destination, 0) != 1:
         return False  # another definition exists: later uses may mean *it*
     if destination in phi_used:
         return False  # φ uses happen on CFG edges, outside this block
-    if use_blocks.get(destination, set()) - {label}:
-        return False  # used in another block: availability must not cross
     positions = uses_here.get(destination, [])
-    if any(position <= index for position in positions):
+    if use_counts.get(destination, 0) != len(positions):
+        return False  # used in another block: availability must not cross
+    if positions and positions[0] <= index:
         return False  # a use textually before the reload: broken input, keep
     if not positions:
         return True  # dead reload: removing it is trivially safe
-    return holder_stable(holder, index, max(positions))
+    # The holder must have no definition in positions (index, last use].
+    holder_defs = defs_here.get(holder, ())
+    after = bisect_right(holder_defs, index)
+    return after == len(holder_defs) or holder_defs[after] > positions[-1]
 
 
 def insert_optimized_spill_code(

@@ -50,11 +50,6 @@ def _slot_base(function: Function) -> int:
     return max(SPILL_SLOT_BASE, highest + 1)
 
 
-def _clone(function: Function) -> Function:
-    """Deep copy of a function (kept as an alias of :meth:`Function.clone`)."""
-    return function.clone()
-
-
 def insert_spill_code(
     function: Function, spilled: Iterable[str]
 ) -> Tuple[Function, Dict[str, int]]:
@@ -65,7 +60,7 @@ def insert_spill_code(
     number of inserted ``loads`` and ``stores``.
     """
     spilled_names: Set[str] = set(spilled)
-    result = _clone(function)
+    result = function.clone()
     base = _slot_base(function)
     slot_address: Dict[str, Constant] = {
         name: Constant(base + index) for index, name in enumerate(sorted(spilled_names))

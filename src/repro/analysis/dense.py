@@ -23,8 +23,9 @@ SSA and non-SSA corpora.  Stale φ edges are rejected with the same typed
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import MutableMapping
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.analysis.cfg import ControlFlowGraph
 from repro.analysis.live_ranges import LiveInterval
@@ -60,28 +61,65 @@ class DenseLivenessInfo:
     #: shared with the interference builder so operands are scanned once.
     instruction_masks: Dict[str, List[InstructionMasks]] = field(repr=False, default_factory=dict)
 
-    def to_info(self, include_locals: bool = True) -> LivenessInfo:
-        """Convert to the set-based :class:`LivenessInfo` shape.
+    def to_info(self) -> LivenessInfo:
+        """View as the set-based :class:`LivenessInfo` shape.
 
         The returned info carries this object on its ``dense`` field so
         downstream consumers (the interference stage) can stay on the
-        bitmask fast path.  ``include_locals=False`` skips the per-block
-        ``defs``/``upward_exposed`` set conversion (they default to empty
-        dicts on :class:`LivenessInfo` and have no consumer outside the
-        dataflow itself); the pipeline uses that form.
+        bitmask fast path.  Its ``live_in``/``live_out``/``defs``/
+        ``upward_exposed`` maps expand a block's mask into a register set
+        the first time that block is read and keep the set, so in-place
+        updates persist and a consumer that reads nothing (the default
+        pipeline) expands nothing.
         """
-        expand = self.index.set_of
-        info = LivenessInfo(
-            live_in={label: expand(mask) for label, mask in self.live_in.items()},
-            live_out={label: expand(mask) for label, mask in self.live_out.items()},
+        index = self.index
+        return LivenessInfo(
+            live_in=LazyRegisterSets(self.live_in, index),
+            live_out=LazyRegisterSets(self.live_out, index),
+            defs=LazyRegisterSets(self.defs, index),
+            upward_exposed=LazyRegisterSets(self.upward_exposed, index),
             dense=self,
         )
-        if include_locals:
-            info.defs = {label: expand(mask) for label, mask in self.defs.items()}
-            info.upward_exposed = {
-                label: expand(mask) for label, mask in self.upward_exposed.items()
-            }
-        return info
+
+
+class LazyRegisterSets(MutableMapping):
+    """Block label -> register set, expanded from a bitmask on first read.
+
+    Reads return the same set object every time, and assignments replace
+    it, exactly like the ``dict`` of sets the set-based analysis builds.
+    """
+
+    __slots__ = ("_masks", "_index", "_sets")
+
+    def __init__(self, masks: Dict[str, int], index: VRIndex) -> None:
+        self._masks = masks
+        self._index = index
+        #: label -> expanded (or assigned) set; ``None`` until first read.
+        self._sets: Dict[str, Optional[set]] = dict.fromkeys(masks)
+
+    def __getitem__(self, label: str) -> set:
+        regs = self._sets[label]
+        if regs is None:
+            regs = self._sets[label] = self._index.set_of(self._masks[label])
+        return regs
+
+    def __setitem__(self, label: str, regs: set) -> None:
+        self._sets[label] = regs
+
+    def __delitem__(self, label: str) -> None:
+        del self._sets[label]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._sets)
+
+    def __len__(self) -> int:
+        return len(self._sets)
+
+    def __contains__(self, label: object) -> bool:
+        return label in self._sets
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
 
 
 def _block_masks(

@@ -53,7 +53,13 @@ def validate_phi_edges(function: Function, cfg: ControlFlowGraph | None = None) 
 
 @dataclass
 class LivenessInfo:
-    """Result of liveness analysis for one function."""
+    """Result of liveness analysis for one function.
+
+    The reference analysis fills plain dicts; an info converted from the
+    dense kernel (:meth:`repro.analysis.dense.DenseLivenessInfo.to_info`)
+    holds mappings that expand a block's set on first read.  Both read,
+    update and compare the same way.
+    """
 
     live_in: Dict[str, RegisterSet]
     live_out: Dict[str, RegisterSet]

@@ -13,36 +13,17 @@ each assignment creates a fresh version ``name.N``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, List, Optional, Set
 
 from repro.analysis.cfg import ControlFlowGraph
+from repro.analysis.dense import dense_liveness
 from repro.analysis.dominance_frontier import dominance_frontiers
 from repro.analysis.dominators import dominator_tree
 from repro.errors import IRError
 from repro.ir.basic_block import BasicBlock
 from repro.ir.function import Function
-from repro.ir.instructions import Instruction, Phi
+from repro.ir.instructions import Phi
 from repro.ir.values import Value, VirtualRegister
-
-
-def _clone_function(function: Function) -> Function:
-    """Deep-copy a function so construction never mutates the caller's IR."""
-    clone = Function(function.name, list(function.parameters))
-    for block in function:
-        new_block = clone.add_block(block.label)
-        for phi in block.phis:
-            new_block.append(Phi(phi.target, dict(phi.incoming)))
-        for instruction in block.instructions:
-            new_block.append(
-                Instruction(
-                    instruction.opcode,
-                    defs=list(instruction.defs),
-                    uses=list(instruction.uses),
-                    targets=list(instruction.targets),
-                )
-            )
-    clone.entry_label = function.entry_label
-    return clone
 
 
 def construct_ssa(function: Function, prune: bool = True) -> Function:
@@ -62,16 +43,16 @@ def construct_ssa(function: Function, prune: bool = True) -> Function:
         raise IRError(
             f"function {function.name!r} already contains phi nodes; construct_ssa expects non-SSA input"
         )
-    ssa = _clone_function(function)
+    ssa = function.clone()
     cfg = ControlFlowGraph(ssa)
     domtree = dominator_tree(ssa)
     frontiers = dominance_frontiers(ssa, domtree)
     reachable = set(domtree.idom)
     if prune:
         # Liveness of the original (non-SSA) code decides where a φ is needed.
-        from repro.analysis.liveness import liveness as _liveness
-
-        live_in = _liveness(ssa).live_in
+        original = dense_liveness(ssa, cfg=cfg)
+        live_in: Optional[Dict[str, int]] = original.live_in
+        bit = original.index.bit
     else:
         live_in = None
 
@@ -98,7 +79,7 @@ def construct_ssa(function: Function, prune: bool = True) -> Function:
                 if frontier_label in placed:
                     continue
                 placed.add(frontier_label)
-                if live_in is None or reg in live_in.get(frontier_label, set()):
+                if live_in is None or (live_in[frontier_label] >> bit(reg)) & 1:
                     phi_sites[frontier_label].add(reg)
                 # A φ (even a pruned-away one) counts as a definition for the
                 # iterated frontier computation.

@@ -17,35 +17,15 @@ from typing import Dict, List, Tuple
 
 from repro.analysis.cfg import ControlFlowGraph
 from repro.ir.function import Function
-from repro.ir.instructions import Instruction, Opcode, Phi, make_branch, make_copy
+from repro.ir.instructions import Opcode, make_branch, make_copy
 from repro.ir.values import VirtualRegister
 
 __all__ = ["destruct_ssa", "split_critical_edges", "coalesce_copies"]
 
 
-def _clone(function: Function) -> Function:
-    """Deep copy preserving block order."""
-    clone = Function(function.name, list(function.parameters))
-    for block in function:
-        new_block = clone.add_block(block.label)
-        for phi in block.phis:
-            new_block.phis.append(Phi(phi.target, dict(phi.incoming)))
-        for instruction in block.instructions:
-            new_block.append(
-                Instruction(
-                    instruction.opcode,
-                    defs=list(instruction.defs),
-                    uses=list(instruction.uses),
-                    targets=list(instruction.targets),
-                )
-            )
-    clone.entry_label = function.entry_label
-    return clone
-
-
 def split_critical_edges(function: Function) -> Function:
     """Split every critical edge by inserting a forwarding block."""
-    result = _clone(function)
+    result = function.clone()
     cfg = ControlFlowGraph(result)
     critical: List[Tuple[str, str]] = []
     for src, dst in cfg.edges():
@@ -115,7 +95,7 @@ def coalesce_copies(function: Function) -> Function:
     from repro.analysis.interference import build_interference_graph
     from repro.analysis.liveness import liveness
 
-    result = _clone(function)
+    result = function.clone()
     info = liveness(result)
     graph = build_interference_graph(result, info=info)
 

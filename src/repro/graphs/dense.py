@@ -33,7 +33,7 @@ the dense rows valid — masks do not encode weights.
 
 from __future__ import annotations
 
-from typing import Container, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Container, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import GraphError
 from repro.graphs.graph import Graph, Vertex, checked_weight
@@ -70,7 +70,7 @@ class DenseGraph(Graph):
     be symmetric with zero diagonal.
     """
 
-    __slots__ = ("_order", "_index", "_rows")
+    __slots__ = ("_order", "_index", "_rows", "_frank_order")
 
     def __init__(self) -> None:
         super().__init__()
@@ -78,6 +78,8 @@ class DenseGraph(Graph):
         self._order: Optional[List[Vertex]] = None
         self._index: Optional[Dict[Vertex, int]] = None
         self._rows: Optional[List[int]] = None
+        #: (PEO contents, FrankOrder) of the last PEO Frank's walk used.
+        self._frank_order: Optional[Tuple[Tuple[Vertex, ...], "FrankOrder"]] = None
 
     # ------------------------------------------------------------------ #
     # construction
@@ -183,6 +185,7 @@ class DenseGraph(Graph):
         self._order = None
         self._index = None
         self._rows = None
+        self._frank_order = None
 
     # ------------------------------------------------------------------ #
     # Graph API overrides: reads answered from the dense side
@@ -472,9 +475,55 @@ def dense_chordal_clique_masks(
     return [(1 << v) | (rows[v] & later_of[v]) for v in peo_bits]
 
 
+class FrankOrder(NamedTuple):
+    """The PEO-derived half of Frank's walk on one :class:`DenseGraph`.
+
+    It depends only on the graph's rows and the PEO's contents, so
+    :func:`frank_order` builds it once per (graph, PEO) and every layer —
+    and, through the problem's shared PEO, every register count of a
+    sweep — reuses it.
+    """
+
+    #: bit indices of the PEO's vertices, in PEO order (vertices the graph
+    #: does not hold are skipped).
+    bits: List[int]
+    #: mask of every vertex the PEO lists.
+    covered: int
+    #: per bit index: the vertex's neighbours that come later in the PEO.
+    later_neighbours: List[int]
+
+
+def frank_order(graph: DenseGraph, peo: Sequence[Vertex]) -> FrankOrder:
+    """``graph``'s :class:`FrankOrder` for ``peo``, cached on the graph.
+
+    The cache is keyed by the PEO's contents, not by the object: a PEO
+    with other contents (a different list, or the same list mutated) gets
+    its own setup, never a stale one.
+    """
+    key = tuple(peo)
+    cached = graph._frank_order
+    if cached is None or cached[0] != key:
+        cached = graph._frank_order = (key, build_frank_order(graph, key))
+    return cached[1]
+
+
+def build_frank_order(graph: DenseGraph, peo: Sequence[Vertex]) -> FrankOrder:
+    """Build the :class:`FrankOrder` of ``peo`` (one reverse walk)."""
+    rows = graph.dense_rows()
+    index = graph._index
+    assert rows is not None and index is not None, "build_frank_order requires a live DenseGraph"
+    bits = [b for b in (index.get(v) for v in peo) if b is not None]
+    later_neighbours = [0] * len(rows)
+    later = 0
+    for b in reversed(bits):
+        later_neighbours[b] = rows[b] & later
+        later |= 1 << b
+    return FrankOrder(bits, later, later_neighbours)
+
+
 def dense_frank(
     graph: DenseGraph,
-    weights: Dict[Vertex, float],
+    weights: Optional[Dict[Vertex, float]],
     peo: Sequence[Vertex],
     candidates: int,
 ) -> List[Vertex]:
@@ -486,52 +535,46 @@ def dense_frank(
     greedy selection), with candidate filtering and the adjacency tests as
     mask operations.  ``candidates`` is a membership mask over the graph's
     bit order; ``peo`` may cover more vertices than the candidates, exactly
-    like the reference.
+    like the reference.  ``weights=None`` reads the graph's own weights.
     """
     rows = graph.dense_rows()
     assert rows is not None, "dense_frank requires a live DenseGraph"
-    index = graph._index
     order = graph._order
-    assert index is not None and order is not None
+    assert order is not None
+    setup = frank_order(graph, peo)
+    if weights is None:
+        weights = graph._weights
 
-    peo_bits = [b for b in (index.get(v) for v in peo) if b is not None]
-    covered = 0
-    for b in peo_bits:
-        covered |= 1 << b
-    missing = candidates & ~covered
+    residual = [0.0] * len(rows)
+    missing_weights: List[Vertex] = []
+    for i in bit_indices(candidates):
+        try:
+            residual[i] = float(weights[order[i]])
+        except KeyError:
+            missing_weights.append(order[i])
+    if missing_weights:
+        raise GraphError(f"weights missing for vertices: {missing_weights!r}")
+    missing = candidates & ~setup.covered
     if missing:
         absent = [order[i] for i in bit_indices(missing)]
         raise GraphError(f"peo missing candidate vertices: {absent!r}")
 
-    later_of = [0] * len(rows)
-    later = 0
-    for b in reversed(peo_bits):
-        later_of[b] = later
-        later |= 1 << b
-
-    residual = [0.0] * len(rows)
-    for i in bit_indices(candidates):
-        v = order[i]
-        try:
-            residual[i] = float(weights[v])
-        except KeyError:
-            raise GraphError(f"weights missing for vertices: {[order[i]]!r}") from None
-
     # Marking phase: vertices with positive residual, in PEO order; each
     # marked vertex's residual is subtracted (clamped at zero) from its
-    # not-yet-processed candidate neighbours.  ``positive`` prunes neighbour
-    # extraction to vertices whose residual can still change — residuals at
-    # zero stay at zero under the reference's max(0, r - amount) update.
+    # not-yet-processed candidate neighbours.  Non-candidates keep residual
+    # zero, so the positivity test also skips them.  ``positive`` prunes
+    # neighbour extraction to vertices whose residual can still change —
+    # residuals at zero stay at zero under the reference's
+    # max(0, r - amount) update.
+    later_neighbours = setup.later_neighbours
     marked: List[int] = []
     positive = candidates
-    for v in peo_bits:
-        if not (candidates >> v) & 1:
-            continue
+    for v in setup.bits:
         amount = residual[v]
         if amount <= 0:
             continue
         marked.append(v)
-        for u in bit_indices(rows[v] & later_of[v] & positive):
+        for u in bit_indices(later_neighbours[v] & positive):
             x = residual[u] - amount
             if x > 0.0:
                 residual[u] = x

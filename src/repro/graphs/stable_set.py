@@ -75,6 +75,22 @@ def maximum_weighted_stable_set(
     if len(graph) == 0:
         return []
 
+    from repro.graphs.dense import dense_frank, dense_rows_of
+
+    if dense_rows_of(graph) is not None:
+        # Bitmask fast path: identical marking order, residual updates and
+        # reverse-marking selection, so the result (and its order) matches
+        # the set-based walk below exactly.  The candidates become a mask
+        # directly, the PEO setup is cached per (graph, PEO) and missing
+        # weights are read from the graph.
+        mask = (1 << len(graph)) - 1 if candidates is None else graph.mask_of(candidates)
+        if not mask:
+            return []
+        if peo is None:
+            base = graph if mask.bit_count() == len(graph) else graph.induced_view(graph.vertices_in(mask))
+            peo = perfect_elimination_order(base)
+        return dense_frank(graph, weights, peo, mask)
+
     if candidates is None:
         cand: Set[Vertex] = set(graph.vertices())
     else:
@@ -90,14 +106,6 @@ def maximum_weighted_stable_set(
         missing = [v for v in cand if v not in weights]
         if missing:
             raise GraphError(f"weights missing for vertices: {missing!r}")
-
-    from repro.graphs.dense import dense_frank, dense_rows_of
-
-    if dense_rows_of(graph) is not None:
-        # Bitmask fast path: identical marking order, residual updates and
-        # reverse-marking selection, so the result (and its order) matches
-        # the set-based walk below exactly.
-        return dense_frank(graph, weights, peo, graph.mask_of(cand))
 
     position: Dict[Vertex, int] = {}
     for v in peo:

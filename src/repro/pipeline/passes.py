@@ -230,7 +230,8 @@ class LivenessPass(Pass):
     bitset kernel (:mod:`repro.analysis.dense`): the produced
     :class:`~repro.analysis.liveness.LivenessInfo` equals the set-based
     reference's live-in/live-out sets and carries the dense masks for the
-    interference stage.
+    interference stage.  Its sets are expanded from the masks only when a
+    block is read (the checker reads them; no default stage does).
     """
 
     name = "liveness"
@@ -244,7 +245,7 @@ class LivenessPass(Pass):
         start = time.perf_counter()
         ssa = construct_ssa(context.function)
         lowered = ssa if spec.ssa else coalesce_copies(destruct_ssa(ssa))
-        info = dense_liveness(lowered).to_info(include_locals=False)
+        info = dense_liveness(lowered).to_info()
         target = context.target
         costs = spill_costs(
             lowered, store_cost=target.store_cost, load_cost=target.load_cost
