@@ -2,7 +2,7 @@
 
 The classical graph-coloring allocator interleaves spilling with coloring:
 
-* *simplify*: repeatedly remove (push) any node with degree < R;
+* *simplify*: repeatedly remove (push) the node of least degree < R;
 * when only high-degree nodes remain, pick a spill candidate minimizing
   ``cost(v) / degree(v)`` (the standard Chaitin heuristic) and push it
   optimistically (Briggs);
@@ -12,16 +12,47 @@ The classical graph-coloring allocator interleaves spilling with coloring:
 In the decoupled spill-everywhere evaluation of the paper the allocator is
 not iterated after spilling (spilled variables simply leave the graph), so
 the reported cost is the summed weight of the actually-spilled nodes.
+
+Both choices break ties by ``str(v)``.  They are driven by two lazy heaps
+over vertex indices instead of a scan of the remaining vertices per step:
+the *simplify* heap, keyed ``(degree, str(v))``, gets one push per degree
+decrement below R and skips entries whose degree is out of date; the
+*spill* heap, keyed ``(cost/degree, str(v))``, is filled once, when
+simplify first runs dry, and re-keys an out-of-date entry when it reaches
+the top.  Costs are ≥ 0, so a key can only grow as the degree falls: an
+out-of-date entry never sits above its true key, and a top entry whose key
+is current is the true minimum.  Simplify and spill choice thus cost
+O((V + E) log V) instead of O(V²), select O(V + E); the vertex names,
+costs and neighbour indices are R-independent and built once per problem.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from heapq import heapify, heappop, heappush, heapreplace
+from typing import List, Optional, Tuple
 
 from repro.alloc.base import Allocator, register_allocator
 from repro.alloc.problem import AllocationProblem
 from repro.alloc.result import AllocationResult
-from repro.graphs.graph import Vertex
+from repro.graphs.dense import bit_indices, dense_rows_of
+from repro.graphs.graph import Graph, Vertex
+
+#: (vertices in graph order, their ``str`` names, their weights, the
+#: neighbour indices of each vertex) — what one GC run reads of the graph.
+GraphIndex = Tuple[List[Vertex], List[str], List[float], List[List[int]]]
+
+
+def graph_index(graph: Graph) -> GraphIndex:
+    """Index ``graph``'s vertices by position in :meth:`Graph.vertices`."""
+    order = graph.vertices()
+    rows = dense_rows_of(graph)
+    if rows is not None:
+        # Bit ``j`` of a dense row is vertex ``order[j]``.
+        neighbors = [bit_indices(row) for row in rows]
+    else:
+        position = {v: i for i, v in enumerate(order)}
+        neighbors = [[position[u] for u in graph.neighbors(v)] for v in order]
+    return order, [str(v) for v in order], [graph.weight(v) for v in order], neighbors
 
 
 class ChaitinBriggsAllocator(Allocator):
@@ -37,60 +68,71 @@ class ChaitinBriggsAllocator(Allocator):
         if num_registers == 0:
             return self._result(problem, [], stats={"potential_spills": len(graph)})
 
-        # Mutable adjacency view used by the simplify phase.
-        degrees: Dict[Vertex, int] = {v: graph.degree(v) for v in graph.vertices()}
-        remaining: Set[Vertex] = set(graph.vertices())
-        stack: List[Tuple[Vertex, bool]] = []  # (vertex, pushed_as_spill_candidate)
+        order, names, weights, neighbors = problem.derived("gc_index", lambda: graph_index(graph))
+        count = len(order)
+        degree = [len(adjacent) for adjacent in neighbors]
+        removed = [False] * count
+        stack: List[int] = []
         potential_spills = 0
 
-        def remove(vertex: Vertex) -> None:
-            remaining.discard(vertex)
-            for u in graph.neighbors(vertex):
-                if u in remaining:
-                    degrees[u] -= 1
-
-        while remaining:
-            simplifiable = [v for v in remaining if degrees[v] < num_registers]
-            if simplifiable:
-                # Deterministic order keeps the allocator reproducible.
-                vertex = min(simplifiable, key=lambda v: (degrees[v], str(v)))
-                stack.append((vertex, False))
-                remove(vertex)
-                continue
-            # Everything has degree >= R: pick the cheapest spill candidate.
-            vertex = min(
-                remaining,
-                key=lambda v: (
-                    graph.weight(v) / degrees[v] if degrees[v] > 0 else graph.weight(v),
-                    str(v),
-                ),
-            )
-            stack.append((vertex, True))
-            potential_spills += 1
-            remove(vertex)
+        low = [(degree[i], names[i], i) for i in range(count) if degree[i] < num_registers]
+        heapify(low)
+        spill: Optional[List[Tuple[float, str, int]]] = None
+        while len(stack) < count:
+            if low:
+                entry_degree, _, vertex = heappop(low)
+                if removed[vertex] or entry_degree != degree[vertex]:
+                    continue
+            else:
+                # Everything left has degree >= R >= 1: pick the cheapest
+                # spill candidate.
+                if spill is None:
+                    spill = [(weights[i] / degree[i], names[i], i) for i in range(count) if not removed[i]]
+                    heapify(spill)
+                key, name, vertex = spill[0]
+                if removed[vertex]:
+                    heappop(spill)
+                    continue
+                current = weights[vertex] / degree[vertex]
+                if current != key:
+                    heapreplace(spill, (current, name, vertex))
+                    continue
+                heappop(spill)
+                potential_spills += 1
+            stack.append(vertex)
+            removed[vertex] = True
+            for u in neighbors[vertex]:
+                if not removed[u]:
+                    left = degree[u] - 1
+                    degree[u] = left
+                    if left < num_registers:
+                        heappush(low, (left, names[u], u))
 
         # Select phase: optimistic coloring.
-        colors: Dict[Vertex, int] = {}
-        spilled: Set[Vertex] = set()
+        colors = [-1] * count
+        spilled = [False] * count
+        colors_used = 0
         while stack:
-            vertex, _ = stack.pop()
-            used = {colors[u] for u in graph.neighbors(vertex) if u in colors}
+            vertex = stack.pop()
+            used = {colors[u] for u in neighbors[vertex]}
             color = 0
             while color in used:
                 color += 1
             if color < num_registers:
                 colors[vertex] = color
+                if color >= colors_used:
+                    colors_used = color + 1
             else:
-                spilled.add(vertex)
+                spilled[vertex] = True
 
-        allocated = [v for v in graph.vertices() if v not in spilled]
+        allocated = [order[i] for i in range(count) if not spilled[i]]
         return self._result(
             problem,
             allocated,
             stats={
                 "potential_spills": potential_spills,
-                "actual_spills": len(spilled),
-                "colors_used": (max(colors.values()) + 1) if colors else 0,
+                "actual_spills": sum(spilled),
+                "colors_used": colors_used,
             },
         )
 

@@ -41,6 +41,15 @@ from repro.graphs.graph import Vertex
 from repro.telemetry.tracer import current_tracer
 
 
+def clique_index(cliques: List[Clique]) -> Dict[Vertex, List[int]]:
+    """Vertex -> positions in ``cliques`` of the cliques containing it."""
+    clique_of_vertex: Dict[Vertex, List[int]] = {}
+    for index, clique in enumerate(cliques):
+        for vertex in clique:
+            clique_of_vertex.setdefault(vertex, []).append(index)
+    return clique_of_vertex
+
+
 class FixedPointLayeredAllocator(LayeredOptimalAllocator):
     """Layered allocation iterated to a fixed point (paper's FPL)."""
 
@@ -82,13 +91,11 @@ class FixedPointLayeredAllocator(LayeredOptimalAllocator):
             phase.set(layers=layers)
 
         # ---------------- Phase 2: iterate to a fixed point -------------- #
-        cliques: List[Clique] = list(problem.cliques)
+        cliques: List[Clique] = problem.cliques
         allocated_per_clique: Dict[int, int] = {i: 0 for i in range(len(cliques))}
         allowed: Set[int] = set(range(len(cliques)))
-        clique_of_vertex: Dict[Vertex, List[int]] = {}
-        for index, clique in enumerate(cliques):
-            for vertex in clique:
-                clique_of_vertex.setdefault(vertex, []).append(index)
+        # R-independent, so built once per problem like the cliques.
+        clique_of_vertex = problem.derived("clique_of_vertex", lambda: clique_index(cliques))
 
         def update(freshly_allocated: List[Vertex]) -> None:
             """Algorithm 4: bump clique counters, drop saturated cliques."""

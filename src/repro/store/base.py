@@ -5,9 +5,11 @@ to one :class:`~repro.experiments.runner.InstanceRecord`, plus an append-only
 log of :class:`RunManifest` provenance entries (one per sweep), persisted in
 one SQLite file by :class:`~repro.store.sqlite.SqliteExperimentStore`.
 
-Stores are cheap to reopen: an interrupted sweep leaves every flushed cell
-behind, and the next ``run_experiment(..., store=..., resume=True)`` computes
-only the missing ones.
+Stores are cheap to reopen: a sweep commits each cell as it completes, so
+an interrupted or killed sweep leaves every finished cell behind, and the
+next ``run_experiment(..., store=..., resume=True)`` computes only the
+missing ones.  An OS crash or power cut may roll back the last commits (see
+the durability contract in :mod:`repro.store.sqlite`).
 """
 
 from __future__ import annotations
@@ -29,9 +31,34 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner imports us)
 # ---------------------------------------------------------------------- #
 # record (de)serialization
 # ---------------------------------------------------------------------- #
+def _plain(value: Any) -> Any:
+    """A copy of the JSON-like ``value`` that shares no container with it."""
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_plain(item) for item in value)
+    return value
+
+
 def record_to_dict(record: "InstanceRecord") -> Dict[str, Any]:
-    """Convert an :class:`InstanceRecord` to a JSON-serializable dict."""
-    return dataclasses.asdict(record)
+    """Convert an :class:`InstanceRecord` to a JSON-serializable dict.
+
+    Equal to ``dataclasses.asdict(record)``, built field by field instead of
+    through its recursive deep copy.
+    """
+    return {
+        "instance": record.instance,
+        "program": record.program,
+        "allocator": record.allocator,
+        "num_registers": record.num_registers,
+        "spill_cost": record.spill_cost,
+        "num_spilled": record.num_spilled,
+        "num_variables": record.num_variables,
+        "max_pressure": record.max_pressure,
+        "runtime_seconds": record.runtime_seconds,
+        "stats": _plain(record.stats),
+        "spilled": None if record.spilled is None else list(record.spilled),
+    }
 
 
 def record_from_dict(data: Dict[str, Any]) -> "InstanceRecord":
@@ -101,12 +128,30 @@ def utc_now_iso() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+#: resolved directory -> its short git revision, looked up once per process.
+_GIT_REVS: Dict[str, str] = {}
+
+
 def current_git_rev(cwd: Union[str, Path, None] = None) -> str:
-    """Short git revision of ``cwd`` (or the process cwd); ``"unknown"`` outside git."""
+    """Short git revision of ``cwd`` (or the process cwd); ``"unknown"`` outside git.
+
+    ``git rev-parse`` runs once per resolved directory per process (it
+    costs a few milliseconds, as much as a fully cached sweep window); later
+    calls return the memoised answer, so a commit made while the process
+    runs is not seen.
+    """
+    directory = str(Path(cwd or ".").resolve())
+    rev = _GIT_REVS.get(directory)
+    if rev is None:
+        rev = _GIT_REVS[directory] = _git_rev(directory)
+    return rev
+
+
+def _git_rev(directory: str) -> str:
     try:
         out = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
-            cwd=str(cwd) if cwd else None,
+            cwd=directory,
             capture_output=True,
             text=True,
             timeout=5,
@@ -145,7 +190,7 @@ class ExperimentStore(abc.ABC):
         return found
 
     def put_many(self, items: Iterable[Tuple[CellKey, "InstanceRecord"]]) -> None:
-        """Insert (or overwrite) cells; durable once :meth:`flush` returns.
+        """Insert (or overwrite) cells, committed before this returns.
 
         Writes are counted as ``store.<backend>.put`` (one per cell).
         """

@@ -7,8 +7,21 @@ One file, two tables:
   ``INSERT OR REPLACE`` gives last-write-wins semantics.
 * ``manifests`` — append-only provenance log, one row per sweep.
 
-Every :meth:`put_many`/:meth:`add_manifest` commits, so cells written by an
-interrupted sweep survive the crash (WAL journaling keeps the commits cheap).
+Durability contract.  Every :meth:`put_many`/:meth:`add_manifest` commits,
+so a sweep commits each cell as it completes.  The connection journals in
+WAL mode with ``synchronous=NORMAL``: a commit appends to the write-ahead
+log without an fsync, and only WAL checkpoints sync.  Hence:
+
+* a killed process (SIGKILL, an uncaught exception, Ctrl-C) loses no cell
+  it committed — the log is in the OS page cache and the next open
+  replays it;
+* an OS crash or power cut may roll back the commits made since the last
+  checkpoint, but leaves a consistent database.  Cells are
+  content-addressed, so a resumed sweep recomputes exactly the rolled-back
+  ones.
+
+The service's job queue (:mod:`repro.service.queue`) holds accepted jobs
+that exist nowhere else, so it keeps SQLite's full sync.
 """
 
 from __future__ import annotations
@@ -63,6 +76,8 @@ class SqliteExperimentStore(ExperimentStore):
             self.path.parent.mkdir(parents=True, exist_ok=True)
             conn = sqlite3.connect(str(self.path))
             conn.execute("PRAGMA journal_mode=WAL")
+            # Commits skip the fsync; see the durability contract above.
+            conn.execute("PRAGMA synchronous=NORMAL")
             conn.executescript(_SCHEMA)
             conn.commit()
         except (OSError, sqlite3.Error) as error:

@@ -1,11 +1,14 @@
 """Experiment-store semantics: cells, manifests, reopening, open errors."""
 
 import re
+import subprocess
 
 import pytest
 
+import repro.store.base as store_base
 from repro.experiments.runner import InstanceRecord
-from repro.store import CellKey, RunManifest, StoreFormatError, open_store
+from repro.service.queue import JobQueue
+from repro.store import CellKey, RunManifest, StoreFormatError, current_git_rev, open_store
 
 #: the store's one backend; its name prefixes the ``store.<backend>.*`` counters.
 BACKENDS = ("sqlite",)
@@ -129,3 +132,40 @@ def test_open_store_names_a_path_it_cannot_open(tmp_path):
         with pytest.raises(StoreFormatError, match=re.escape(str(path))):
             open_store(path)
     assert old_jsonl.read_text() == '{"type": "cell"}\n'
+
+
+def test_store_commits_without_fsync_but_the_queue_keeps_full_sync(tmp_path):
+    """The store commits every cell in WAL mode with ``synchronous=NORMAL``
+    (a killed process loses no commit; an OS crash may roll back the last
+    ones); the job queue holds accepted jobs and keeps FULL."""
+    with open_store(tmp_path / "s.sqlite") as store:
+        assert store._conn.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
+        assert store._conn.execute("PRAGMA synchronous").fetchone()[0] == 1
+        store.put(_key(), _record())
+        assert not store._conn.in_transaction
+    queue = JobQueue(tmp_path / "q.sqlite")
+    try:
+        assert queue._conn.execute("PRAGMA synchronous").fetchone()[0] == 2
+    finally:
+        queue.close()
+
+
+def test_git_revision_is_looked_up_once_per_directory(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_run(command, cwd=None, **kwargs):
+        calls.append(cwd)
+        return subprocess.CompletedProcess(command, 0, stdout=f"rev{len(calls)}\n", stderr="")
+
+    monkeypatch.setattr(store_base, "_GIT_REVS", {})
+    monkeypatch.setattr(store_base.subprocess, "run", fake_run)
+    monkeypatch.chdir(tmp_path)
+    assert current_git_rev() == "rev1"
+    assert current_git_rev(tmp_path) == "rev1"
+    assert calls == [str(tmp_path.resolve())]
+
+    other = tmp_path / "other"
+    other.mkdir()
+    assert current_git_rev(other) == "rev2"
+    assert current_git_rev(str(other)) == "rev2"
+    assert calls == [str(tmp_path.resolve()), str(other.resolve())]

@@ -1,7 +1,14 @@
 """Cache-aware, resumable sweeps through the experiment store."""
 
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 import repro.experiments.runner as runner_module
 from repro.alloc.problem import AllocationProblem
 from repro.experiments.runner import ExperimentConfig, run_experiment
@@ -129,6 +136,56 @@ def test_interrupted_sweep_resumes_where_it_died(tmp_path, monkeypatch, allocate
         # The rerun computed only the missing cells.
         assert len(allocate_calls) - calls_before == total_cells - 5
         assert store.manifests()[-1].cells_cached == 5
+
+
+def _sweep_then_kill(path: str, kill_after: int) -> None:
+    """Sweep ``_problems()`` into the store at ``path`` and SIGKILL this
+    process from the ``on_record`` hook once ``kill_after`` cells are
+    stored: no ``close()``, no exception handler, no exit handler runs."""
+    real_run_cells = runner_module.run_cells
+    done = [0]
+
+    def killing_run_cells(problem, cells, program="", verify=True, on_record=None):
+        def hook(cell, record):
+            on_record(cell, record)
+            done[0] += 1
+            if done[0] == kill_after:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        return real_run_cells(problem, cells, program=program, verify=verify, on_record=hook)
+
+    runner_module.run_cells = killing_run_cells
+    run_experiment(_problems(), _config(), store=open_store(path))
+
+
+def test_sigkilled_sweep_keeps_every_committed_cell(tmp_path, allocate_calls):
+    """A process killed outright loses none of the cells it committed, and
+    the resumed sweep computes only the rest."""
+    total_cells = 4 * 2 * 2
+    killed_after = 7
+    path = tmp_path / "s.sqlite"
+    paths = [str(Path(repro.__file__).parents[1]), str(Path(__file__).parent)]
+    child = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            f"import sys; sys.path[:0] = {paths!r}; import test_sweep_store as t; "
+            f"t._sweep_then_kill({str(path)!r}, {killed_after})",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == -signal.SIGKILL, child.stderr
+
+    with open_store(path) as store:
+        assert len(store) == killed_after
+        assert store.manifests() == []
+        records = run_experiment(_problems(), _config(), store=store)
+        assert len(records) == total_cells
+        assert len(store) == total_cells
+        assert len(allocate_calls) == total_cells - killed_after
+        assert store.manifests()[-1].cells_cached == killed_after
 
 
 def test_resume_false_recomputes_but_still_persists(tmp_path, allocate_calls):
