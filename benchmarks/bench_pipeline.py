@@ -507,15 +507,19 @@ def measure_service_latency(jobs=8, statements=60, registers=6, seed_base=0):
     warm pass served every allocation from the cache (zero allocator
     calls) and that both passes returned byte-identical function payloads.
 
-    Then times the batch path as ``batch_window_seconds``: one cold sweep
-    of the first Figure 9 instance (36 cells, posted as batches of 32 and
-    4) through :class:`~repro.experiments.backends.ServiceBackend`, as
-    ``reproduce --backend service`` runs it, against a fresh service,
-    queue and store.  Asserts its records equal the in-process sweep's.
+    Then times the batch path as ``batch_window_seconds``: a cold sweep of
+    the first Figure 9 instance (36 cells, posted as batches of 32 and 4)
+    through :class:`~repro.experiments.backends.ServiceBackend`, as
+    ``reproduce --backend service`` runs it, each against a fresh service,
+    queue and store.  One untimed warm-up window absorbs the process's
+    first-use costs; the metric is the median of the three timed windows
+    that follow.  Asserts every window's records equal the in-process
+    sweep's.
 
     Returns a dict shaped for the ``service_latency`` bench-history block
     (``*_seconds`` metrics diff as lower-is-better).
     """
+    import statistics
     import tempfile
     import time
     from pathlib import Path
@@ -570,18 +574,27 @@ def measure_service_latency(jobs=8, statements=60, registers=6, seed_base=0):
         spec = FIGURE_SPECS["figure9"]
         window = build_corpus(spec.suite, target=spec.target, seed=2013).problems[:1]
         config = ExperimentConfig(allocators=list(spec.allocators), register_counts=list(spec.register_counts))
-        with AllocationService(Path(tmp) / "batch.sqlite", workers=2) as service:
-            with open_store(Path(tmp) / "batch-client.sqlite") as client_store:
-                started = time.perf_counter()
-                served = run_experiment(window, config, store=client_store, backend=ServiceBackend([service.url]))
-                batch_window_seconds = time.perf_counter() - started
-        local = run_experiment(window, config)
+        local = [
+            (r.allocator, r.num_registers, r.spill_cost, r.spilled) for r in run_experiment(window, config)
+        ]
+        assert len(local) == len(spec.allocators) * len(spec.register_counts)
+
+        def batch_window(name):
+            """Seconds of one cold service sweep of ``window``."""
+            with AllocationService(Path(tmp) / f"{name}.sqlite", workers=2) as service:
+                with open_store(Path(tmp) / f"{name}-client.sqlite") as client_store:
+                    started = time.perf_counter()
+                    served = run_experiment(window, config, store=client_store, backend=ServiceBackend([service.url]))
+                    seconds = time.perf_counter() - started
+            assert [(r.allocator, r.num_registers, r.spill_cost, r.spilled) for r in served] == local, (
+                "service batch window diverged from the in-process sweep"
+            )
+            return seconds
+
+        batch_window("warmup")
+        batch_window_seconds = statistics.median(batch_window(f"batch{n}") for n in range(3))
 
     assert warm_results == cold_results, "warm service results diverged from cold"
-    assert len(served) == len(spec.allocators) * len(spec.register_counts)
-    assert [(r.allocator, r.num_registers, r.spill_cost, r.spilled) for r in served] == [
-        (r.allocator, r.num_registers, r.spill_cost, r.spilled) for r in local
-    ], "service batch window diverged from the in-process sweep"
     return {
         "jobs": jobs,
         "statements": statements,
@@ -589,7 +602,7 @@ def measure_service_latency(jobs=8, statements=60, registers=6, seed_base=0):
         "warm_seconds": round(warm_seconds, 6),
         "mean_cold_seconds": round(cold_seconds / jobs, 6),
         "mean_warm_seconds": round(warm_seconds / jobs, 6),
-        "batch_cells": len(served),
+        "batch_cells": len(local),
         "batch_window_seconds": round(batch_window_seconds, 6),
     }
 

@@ -28,12 +28,7 @@ from typing import Dict, List, Optional, Set
 
 from repro.alloc.base import register_allocator
 from repro.alloc.biased import bias_weights
-from repro.alloc.layered import (
-    LayeredOptimalAllocator,
-    constrained_setup,
-    optimal_layer,
-    register_candidates,
-)
+from repro.alloc.layered import LayeredOptimalAllocator, RegisterLayers
 from repro.alloc.problem import AllocationProblem
 from repro.alloc.result import AllocationResult
 from repro.graphs.cliques import Clique
@@ -51,7 +46,12 @@ def clique_index(cliques: List[Clique]) -> Dict[Vertex, List[int]]:
 
 
 class FixedPointLayeredAllocator(LayeredOptimalAllocator):
-    """Layered allocation iterated to a fixed point (paper's FPL)."""
+    """Layered allocation iterated to a fixed point (paper's FPL).
+
+    Both phases run NL's :meth:`~LayeredOptimalAllocator.layer_rounds`:
+    phase 1 with NL's ``R``-round limit, phase 2 until no candidate is left,
+    with Algorithm 4's ``Update`` after every layer.
+    """
 
     name = "FPL"
     version = "1"
@@ -60,35 +60,21 @@ class FixedPointLayeredAllocator(LayeredOptimalAllocator):
         """Run Algorithm 3: R layers, then extra stable sets until saturation."""
         if problem.constraints is not None:
             return self._allocate_constrained(problem)
-        graph = problem.graph
-        weights = self.layer_weights(problem)
         num_registers = problem.num_registers
         if num_registers <= 0:
             # Every clique is already saturated: nothing can be allocated.
             return self._result(problem, [], stats={"layers": 0, "fixed_point_rounds": 0})
 
-        candidates: Set[Vertex] = set(graph.vertices())
+        candidates: Set[Vertex] = set(problem.graph.vertices())
         allocated: List[Vertex] = []
-        # One PEO for the whole run; both phases reuse it over shrinking
-        # candidate masks instead of re-deriving it per round.
-        peo = problem.peo if (self.shared_peo and candidates) else None
-
         tracer = current_tracer()
 
         # ---------------- Phase 1: the plain layered allocation ---------- #
-        layers = 0
         with tracer.span("alloc:layered_phase", category="alloc", allocator=self.name) as phase:
-            while candidates and layers < num_registers:
-                layer = optimal_layer(graph, candidates, weights=weights, peo=peo)
-                if tracer.enabled:
-                    tracer.count("alloc.frank.calls")
-                    tracer.count("alloc.frank.peo_reused" if peo is not None else "alloc.frank.peo_recomputed")
-                if not layer:
-                    break
-                allocated.extend(layer)
-                candidates.difference_update(layer)
-                layers += 1
+            layers = self.layer_rounds(problem, candidates, allocated, num_registers)
             phase.set(layers=layers)
+        if tracer.enabled:
+            tracer.count("alloc.layered.rounds", layers)
 
         # ---------------- Phase 2: iterate to a fixed point -------------- #
         cliques: List[Clique] = problem.cliques
@@ -110,19 +96,9 @@ class FixedPointLayeredAllocator(LayeredOptimalAllocator):
 
         update(allocated)
 
-        extra_rounds = 0
         with tracer.span("alloc:fixed_point_phase", category="alloc", allocator=self.name) as phase:
-            while candidates:
-                layer = optimal_layer(graph, candidates, weights=weights, peo=peo)
-                if tracer.enabled:
-                    tracer.count("alloc.frank.calls")
-                    tracer.count("alloc.frank.peo_reused" if peo is not None else "alloc.frank.peo_recomputed")
-                if not layer:
-                    break
-                allocated.extend(layer)
-                candidates.difference_update(layer)
-                update(layer)
-                extra_rounds += 1
+            # Every round allocates at least one candidate, so this limit never binds.
+            extra_rounds = self.layer_rounds(problem, candidates, allocated, len(candidates), after=update)
             phase.set(rounds=extra_rounds, saturated_cliques=len(cliques) - len(allowed))
         if tracer.enabled:
             tracer.count("alloc.fixed_point.rounds", extra_rounds)
@@ -140,86 +116,44 @@ class FixedPointLayeredAllocator(LayeredOptimalAllocator):
         )
 
     def _allocate_constrained(self, problem: AllocationProblem) -> AllocationResult:
-        """Constrained FPL: per-register rounds, then fixed-point extension.
+        """Constrained FPL: per-register layers, then fixed-point extension.
 
-        Phase 1 is the constrained NL layering (one stable set per concrete
-        register).  Phase 2 replaces the clique-saturation Update — which
-        assumes ``R`` interchangeable colors — with its constrained
-        analogue: repeatedly *extend* each register's layer with another
-        stable set over the still-compatible candidates (allowed to hold
-        that register, not adjacent to the layer's members or to aliasing
-        layers) until a full sweep grows nothing.  Every extension keeps the
-        layer an independent set bound to one register, so the fixed point
-        is sound by construction.
+        Phase 1 is the constrained NL layering (one pass of
+        :meth:`RegisterLayers.grow` over the register file).  Phase 2
+        replaces the clique-saturation Update — which assumes ``R``
+        interchangeable colors — with its constrained analogue: further
+        passes that *extend* each register's layer with another stable set
+        over the still-compatible candidates until a full pass grows
+        nothing.  Every extension keeps the layer an independent set bound
+        to one register, so the fixed point is sound by construction.
         """
-        graph = problem.graph
-        weights = self.layer_weights(problem)
-        tracer = current_tracer()
         if problem.num_registers <= 0:
             return self._result(
                 problem, [], stats={"layers": 0, "fixed_point_rounds": 0, "constrained": True}
             )
-        peo = problem.peo if self.shared_peo else None
-        _constraints, registers, allowed, alias = constrained_setup(problem)
-
-        remaining = set(graph.vertices())
-        layers: Dict[str, List[Vertex]] = {}
-
-        def grow(register: str) -> bool:
-            """One stable-set extension of ``register``'s layer; True if it grew."""
-            candidates = register_candidates(graph, register, remaining, allowed, layers, alias)
-            for member in layers.get(register, []):
-                candidates.difference_update(graph.neighbors(member))
-            if not candidates:
-                return False
-            layer = optimal_layer(graph, candidates, weights=weights, peo=peo)
-            if tracer.enabled:
-                tracer.count("alloc.frank.calls")
-                tracer.count("alloc.frank.peo_reused" if peo is not None else "alloc.frank.peo_recomputed")
-            if not layer:
-                return False
-            layers.setdefault(register, []).extend(layer)
-            remaining.difference_update(layer)
-            return True
-
-        rounds = 0
+        tracer = current_tracer()
+        layering = RegisterLayers(problem, self.layer_weights(problem))
         with tracer.span("alloc:layered_phase", category="alloc", allocator=self.name) as phase:
-            for register in registers:
-                if not remaining:
-                    break
-                if grow(register):
-                    rounds += 1
+            rounds = layering.sweep()
             phase.set(layers=rounds)
+        if tracer.enabled:
+            tracer.count("alloc.layered.rounds", rounds)
 
         extra_rounds = 0
         with tracer.span("alloc:fixed_point_phase", category="alloc", allocator=self.name) as phase:
-            changed = True
-            while changed and remaining:
-                changed = False
-                for register in registers:
-                    if not remaining:
-                        break
-                    if grow(register):
-                        extra_rounds += 1
-                        changed = True
+            while layering.remaining:
+                grown = layering.sweep()
+                if not grown:
+                    break
+                extra_rounds += grown
             phase.set(rounds=extra_rounds, saturated_cliques=0)
         if tracer.enabled:
             tracer.count("alloc.fixed_point.rounds", extra_rounds)
 
-        allocated = [v for members in layers.values() for v in members]
         return self._result(
             problem,
-            allocated,
-            stats={
-                "layers": rounds,
-                "fixed_point_rounds": extra_rounds,
-                "candidates_left": len(remaining),
-                "constrained": True,
-                "register_layers": {
-                    register: sorted(str(v) for v in members)
-                    for register, members in layers.items()
-                },
-            },
+            layering.allocated(),
+            stats={"layers": rounds, "fixed_point_rounds": extra_rounds, **layering.stats()},
         )
 
 

@@ -14,27 +14,32 @@ PEO of the induced subgraph.  The allocator therefore computes one PEO per
 *problem* (cached on :class:`~repro.alloc.problem.AllocationProblem`) and
 runs Frank's algorithm over a candidate *mask* each round — no per-round
 ``Graph.subgraph`` copy, no per-round maximum-cardinality search, no
-per-round chordality re-validation.  ``shared_peo=False`` retains the
-original materializing path (one fresh subgraph + MCS per round); it is kept
-as the behavioural reference for tests and benchmarks.
+per-round chordality re-validation.
 
-Note (documented deviation): every layer is a *maximum* weighted stable set
-under both paths, but when several maxima tie, which one Frank's algorithm
-returns depends on the elimination order (per-round MCS vs restriction of
-the shared PEO), and since the greedy layering is not globally optimal,
-different tie-breaks can compound into different end-to-end spill costs on
-crafted equal-weight instances (cf. the paper's Figure 6 discussion).  On
-the shipped corpora — generic real-valued spill costs, where per-layer
-maxima are unique — the two paths produce identical results, which the test
-suite pins down.
+The whole layered family shares two loops: :meth:`LayeredOptimalAllocator.
+layer_rounds` (unconstrained: NL and BL, and both phases of FPL and BFPL)
+and :meth:`RegisterLayers.grow` (constrained: one pass over the register
+file for NL and BL, repeated passes for FPL and BFPL).  BL and BFPL differ
+only in :meth:`~LayeredOptimalAllocator.layer_weights`.
+
+Note (documented deviation): every layer is a *maximum* weighted stable set,
+but when several maxima tie, which one Frank's algorithm returns depends on
+the elimination order.  The seed implementation materialized each round's
+candidate subgraph and searched it with a fresh maximum-cardinality search
+(the tests keep it as a reference kernel); the restriction of the shared PEO
+can break such ties differently, and since the greedy layering is not
+globally optimal, different tie-breaks can compound into different
+end-to-end spill costs on crafted equal-weight instances (cf. the paper's
+Figure 6 discussion).  On the shipped corpora — generic real-valued spill
+costs, where per-layer maxima are unique — the two produce identical
+results, which the test suite pins down.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.alloc.base import Allocator, register_allocator
-from repro.alloc.constraints import ProblemConstraints
 from repro.alloc.problem import AllocationProblem
 from repro.alloc.result import AllocationResult
 from repro.errors import AllocationError
@@ -46,76 +51,99 @@ from repro.telemetry.tracer import current_tracer
 def optimal_layer(
     graph: Graph,
     candidates: Set[Vertex],
+    peo: Sequence[Vertex],
     weights: Optional[Dict[Vertex, float]] = None,
-    peo: Optional[Sequence[Vertex]] = None,
 ) -> List[Vertex]:
     """Optimally allocate one register among ``candidates``.
 
     This is Frank's maximum weighted stable set on the candidate-induced
-    sub-graph.  When a ``peo`` of the *full* graph is supplied, the search
-    runs directly over the candidate mask (its restriction to
-    ``candidates`` is a valid PEO of the induced subgraph), so the round
-    costs ``O(|V|+|E|)`` with no subgraph copy.  Without ``peo`` the
-    original path is taken: materialize the subgraph and recompute its
-    elimination order from scratch.
+    sub-graph, searched over the candidate mask of the full graph: the
+    restriction of ``peo`` (a PEO of the *full* graph) to ``candidates`` is
+    a PEO of the induced subgraph, so the round costs ``O(|V|+|E|)`` with no
+    subgraph copy.
     """
-    if not candidates:
-        return []
-    if peo is not None:
-        return maximum_weighted_stable_set(graph, weights=weights, peo=peo, candidates=candidates)
-    subgraph = graph.subgraph(candidates)
-    if weights is not None:
-        layer_weights = {v: weights[v] for v in subgraph.vertices()}
-    else:
-        layer_weights = None
-    return maximum_weighted_stable_set(subgraph, weights=layer_weights)
+    return maximum_weighted_stable_set(graph, weights=weights, peo=peo, candidates=candidates)
 
 
-# ---------------------------------------------------------------------- #
-# constrained layering: shared by NL/BL (one round per register) and by
-# FPL/BFPL (same rounds, then fixed-point layer extension)
-# ---------------------------------------------------------------------- #
-def constrained_setup(
-    problem: AllocationProblem,
-) -> Tuple[ProblemConstraints, List[str], Dict[Vertex, FrozenSet[str]], Dict[str, FrozenSet[str]]]:
-    """Precompute the per-round constraint data of one constrained run.
+class RegisterLayers:
+    """The per-register layers of one constrained run.
 
-    Returns ``(constraints, registers, allowed, alias)`` where ``registers``
-    is the file truncated to the problem's ``R`` budget, ``allowed`` maps
-    each vertex to the registers it may receive within that budget, and
-    ``alias`` is the symmetric aliasing closure.
+    Each allocatable register (the file truncated to the problem's ``R``)
+    owns one layer, grown by :meth:`grow`: a maximum weighted stable set
+    searched over the vertices *allowed* to join it — the same
+    candidate-mask Frank search as the unconstrained rounds, so the dense
+    and set-based kernels stay in lockstep.  A layer is sound by
+    construction: it is a stable set bound to one register, and aliasing
+    registers never touch interfering vertices.  Pre-colored variables are
+    candidates only for their register's layer (conservative: the register
+    order is the file order, not weight-driven).
     """
-    constraints = problem.constraints
-    if constraints is None:
-        raise AllocationError("constrained_setup needs a problem with constraints")
-    registers = list(constraints.registers[: problem.num_registers])
-    allowed = {
-        v: frozenset(constraints.allowed(str(v), problem.num_registers))
-        for v in problem.graph.vertices()
-    }
-    return constraints, registers, allowed, constraints.alias_closure()
 
+    def __init__(self, problem: AllocationProblem, weights: Optional[Dict[Vertex, float]]) -> None:
+        constraints = problem.constraints
+        if constraints is None:
+            raise AllocationError("RegisterLayers needs a problem with constraints")
+        self.graph = problem.graph
+        self.weights = weights
+        self.peo = problem.peo
+        #: the register file truncated to the problem's ``R`` budget.
+        self.registers = list(constraints.registers[: problem.num_registers])
+        #: each vertex's registers within that budget.
+        self.allowed = {
+            v: frozenset(constraints.allowed(str(v), problem.num_registers))
+            for v in self.graph.vertices()
+        }
+        #: the symmetric aliasing closure.
+        self.alias = constraints.alias_closure()
+        self.remaining: Set[Vertex] = set(self.graph.vertices())
+        self.layers: Dict[str, List[Vertex]] = {}
 
-def register_candidates(
-    graph: Graph,
-    register: str,
-    remaining: Set[Vertex],
-    allowed: Dict[Vertex, FrozenSet[str]],
-    layers: Dict[str, List[Vertex]],
-    alias: Dict[str, FrozenSet[str]],
-) -> Set[Vertex]:
-    """Vertices that may join ``register``'s layer this round.
+    def grow(self, register: str) -> bool:
+        """Extend ``register``'s layer by one stable set; True if it grew.
 
-    A candidate must still be unallocated, have ``register`` in its allowed
-    set, and not interfere with any variable already holding a register that
-    *aliases* ``register`` (identical registers are handled by the stable-set
-    search itself: one round, one stable set).
-    """
-    banned: Set[Vertex] = set()
-    for other in alias.get(register, frozenset()):
-        for member in layers.get(other, []):
-            banned.update(graph.neighbors(member))
-    return {v for v in remaining if register in allowed[v] and v not in banned}
+        A candidate must still be unallocated, have ``register`` in its
+        allowed set, and not interfere with any member of this register's
+        layer or of a layer whose register *aliases* it.
+        """
+        graph = self.graph
+        banned: Set[Vertex] = set()
+        for owner in (register, *self.alias.get(register, ())):
+            for member in self.layers.get(owner, ()):
+                banned.update(graph.neighbors(member))
+        candidates = {v for v in self.remaining if register in self.allowed[v] and v not in banned}
+        if not candidates:
+            return False
+        layer = optimal_layer(graph, candidates, self.peo, self.weights)
+        tracer = current_tracer()
+        if tracer.enabled:
+            tracer.count("alloc.frank.calls")
+        if not layer:
+            return False
+        self.layers.setdefault(register, []).extend(layer)
+        self.remaining.difference_update(layer)
+        return True
+
+    def sweep(self) -> int:
+        """Grow every register's layer once, in file order; how many grew."""
+        grown = 0
+        for register in self.registers:
+            if not self.remaining:
+                break
+            grown += self.grow(register)
+        return grown
+
+    def allocated(self) -> List[Vertex]:
+        return [v for members in self.layers.values() for v in members]
+
+    def stats(self) -> Dict:
+        return {
+            "candidates_left": len(self.remaining),
+            "constrained": True,
+            "register_layers": {
+                register: sorted(str(v) for v in members)
+                for register, members in self.layers.items()
+            },
+        }
 
 
 class LayeredOptimalAllocator(Allocator):
@@ -124,11 +152,6 @@ class LayeredOptimalAllocator(Allocator):
     name = "NL"
     version = "1"
     supports_constraints = True
-
-    def __init__(self, shared_peo: bool = True) -> None:
-        #: reuse one problem-level PEO across rounds (the paper's intended
-        #: complexity); ``False`` selects the materializing reference path.
-        self.shared_peo = shared_peo
 
     # ------------------------------------------------------------------ #
     def layer_weights(self, problem: AllocationProblem) -> Optional[Dict[Vertex, float]]:
@@ -140,23 +163,32 @@ class LayeredOptimalAllocator(Allocator):
         """
         return None
 
-    def allocate(self, problem: AllocationProblem) -> AllocationResult:
-        """Run the layered allocation and return the allocated set."""
-        if problem.constraints is not None:
-            return self._allocate_constrained(problem)
-        graph = problem.graph
-        candidates: Set[Vertex] = set(graph.vertices())
-        allocated: List[Vertex] = []
-        weights = self.layer_weights(problem)
-        tracer = current_tracer()
+    def layer_rounds(
+        self,
+        problem: AllocationProblem,
+        candidates: Set[Vertex],
+        allocated: List[Vertex],
+        limit: int,
+        after: Optional[Callable[[List[Vertex]], None]] = None,
+    ) -> int:
+        """Commit up to ``limit`` layers out of ``candidates``; the round count.
 
+        Each round appends a maximum weighted stable set of the remaining
+        ``candidates`` to ``allocated``, removes it from ``candidates`` and
+        hands it to ``after``.  The loop stops early when no candidate is
+        left or the search returns an empty layer (every remaining candidate
+        has zero weight).
+        """
+        if not candidates or limit <= 0:
+            return 0
+        graph = problem.graph
+        weights = self.layer_weights(problem)
+        # One PEO per problem, shared by every round (and, via the problem
+        # cache, by every register count of a sweep).
+        peo = problem.peo
+        tracer = current_tracer()
         rounds = 0
-        peo: Optional[Sequence[Vertex]] = None
-        while candidates and rounds < problem.num_registers:
-            if self.shared_peo and peo is None:
-                # One PEO per problem, shared by every round (and, via the
-                # problem cache, by every register count of a sweep).
-                peo = problem.peo
+        while candidates and rounds < limit:
             if tracer.enabled:
                 with tracer.span(
                     "alloc:layer",
@@ -165,83 +197,41 @@ class LayeredOptimalAllocator(Allocator):
                     round=rounds,
                     candidates=len(candidates),
                 ) as span:
-                    layer = optimal_layer(graph, candidates, weights=weights, peo=peo)
+                    layer = optimal_layer(graph, candidates, peo, weights)
                     span.set(layer_size=len(layer))
                 tracer.count("alloc.frank.calls")
-                tracer.count("alloc.frank.peo_reused" if peo is not None else "alloc.frank.peo_recomputed")
             else:
-                layer = optimal_layer(graph, candidates, weights=weights, peo=peo)
+                layer = optimal_layer(graph, candidates, peo, weights)
             if not layer:
                 break
             allocated.extend(layer)
             candidates.difference_update(layer)
+            if after is not None:
+                after(layer)
             rounds += 1
-        if tracer.enabled:
-            tracer.count("alloc.layered.rounds", rounds)
+        return rounds
 
-        # One register per layer; "step" stays in the stats so stored cells keep their bytes.
-        return self._result(
-            problem,
-            allocated,
-            stats={"layers": rounds, "step": 1, "candidates_left": len(candidates)},
-        )
+    def allocate(self, problem: AllocationProblem) -> AllocationResult:
+        """Run the layered allocation and return the allocated set.
 
-    def _allocate_constrained(self, problem: AllocationProblem) -> AllocationResult:
-        """Constrained layering: one round per concrete register.
-
-        Each of the (at most ``R``) allocatable registers gets one round: a
-        maximum weighted stable set searched over the vertices *allowed* to
-        hold that register (class/pre-color restrictions, minus neighbors of
-        aliasing layers) — the same candidate-mask Frank search as the
-        unconstrained rounds, so the dense and set-based kernels stay in
-        lockstep.  A layer is sound by construction: it is a stable set
-        bound to one register, and aliasing registers never touch
-        interfering vertices.  Pre-colored variables are candidates only in
-        their register's round (conservative: the round order is the file
-        order, not weight-driven).
+        Constrained problems get one :meth:`RegisterLayers.grow` per
+        concrete register instead of ``R`` interchangeable rounds.
         """
-        graph = problem.graph
-        weights = self.layer_weights(problem)
+        # One register per layer; "step" stays in the stats so stored cells keep their bytes.
+        if problem.constraints is not None:
+            layering = RegisterLayers(problem, self.layer_weights(problem))
+            rounds = layering.sweep()
+            allocated = layering.allocated()
+            stats = {"layers": rounds, "step": 1, **layering.stats()}
+        else:
+            candidates: Set[Vertex] = set(problem.graph.vertices())
+            allocated = []
+            rounds = self.layer_rounds(problem, candidates, allocated, problem.num_registers)
+            stats = {"layers": rounds, "step": 1, "candidates_left": len(candidates)}
         tracer = current_tracer()
-        peo: Optional[Sequence[Vertex]] = problem.peo if self.shared_peo else None
-        _constraints, registers, allowed, alias = constrained_setup(problem)
-
-        remaining: Set[Vertex] = set(graph.vertices())
-        layers: Dict[str, List[Vertex]] = {}
-        rounds = 0
-        for register in registers:
-            if not remaining:
-                break
-            candidates = register_candidates(graph, register, remaining, allowed, layers, alias)
-            if not candidates:
-                continue
-            layer = optimal_layer(graph, candidates, weights=weights, peo=peo)
-            if tracer.enabled:
-                tracer.count("alloc.frank.calls")
-                tracer.count("alloc.frank.peo_reused" if peo is not None else "alloc.frank.peo_recomputed")
-            if not layer:
-                continue
-            layers[register] = list(layer)
-            remaining.difference_update(layer)
-            rounds += 1
         if tracer.enabled:
             tracer.count("alloc.layered.rounds", rounds)
-
-        allocated = [v for members in layers.values() for v in members]
-        return self._result(
-            problem,
-            allocated,
-            stats={
-                "layers": rounds,
-                "step": 1,
-                "candidates_left": len(remaining),
-                "constrained": True,
-                "register_layers": {
-                    register: sorted(str(v) for v in members)
-                    for register, members in layers.items()
-                },
-            },
-        )
+        return self._result(problem, allocated, stats=stats)
 
 
 register_allocator("NL", LayeredOptimalAllocator)

@@ -1,13 +1,15 @@
 """Execution backends: where a sweep's cells actually run.
 
-:func:`~repro.experiments.runner.run_experiment` plans *what* to compute —
-which ``(instance, register count, allocator)`` cells are missing from the
-store — and delegates *how* to an :class:`ExecutionBackend`:
+The sweep loop behind :func:`~repro.experiments.runner.run_experiment` and
+:func:`~repro.experiments.runner.run_streamed_experiment` plans *what* to
+compute, one window of instances at a time — which ``(instance, register
+count, allocator)`` cells are missing from the store — and delegates *how*
+to an :class:`ExecutionBackend`:
 
 * :class:`LocalPoolBackend` — the in-process path: serial, or one
-  :class:`~concurrent.futures.ProcessPoolExecutor` task per instance.  Its
-  records are byte-identical to what ``run_experiment`` produced before the
-  seam existed (pinned by the backend-parity tests).
+  :func:`~repro.telemetry.tracer.pool_map` task per instance.  Its records
+  are byte-identical to what ``run_experiment`` produced before the seam
+  existed (pinned by the backend-parity tests).
 * :class:`ServiceBackend` — plans the missing cells into batched
   ``POST /v1/batches`` submissions against one or more running allocation
   services (round-robin across endpoints) and polls the results back into
@@ -32,14 +34,13 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.alloc.problem import AllocationProblem
 from repro.errors import ServiceError
 from repro.graphs.io import graph_to_dict
 from repro.store.base import record_from_dict
-from repro.telemetry.tracer import TraceSnapshot, current_tracer
+from repro.telemetry.tracer import current_tracer, pool_map
 
 from repro.experiments import runner
 
@@ -99,26 +100,12 @@ class LocalPoolBackend(ExecutionBackend):
                 )
             return
 
-        tracer = current_tracer()
-        workers = min(config.jobs, len(plan))
-        snapshots: Dict[int, TraceSnapshot] = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(
-                    runner._run_cells_worker, problem, missing, program, config.verify, tracer.enabled
-                ): (plan_position, index, missing)
-                for plan_position, (index, problem, program, missing) in enumerate(plan)
-            }
-            for future in as_completed(futures):
-                plan_position, index, missing = futures[future]
-                results, snapshot = future.result()
-                if snapshot is not None:
-                    snapshots[plan_position] = snapshot
-                emit(index, list(zip(missing, results)))
-        # ``as_completed`` yields in finish order; merging sorted by plan
-        # position keeps the combined trace deterministic regardless.
-        for plan_position in sorted(snapshots):
-            tracer.merge(snapshots[plan_position], label=f"instance-{plan_position}")
+        # Each instance is persisted as soon as its task finishes; worker
+        # traces land on lanes instance-0..n-1 in plan order.
+        tasks = [(problem, missing, program, config.verify) for _, problem, program, missing in plan]
+        for position, records in pool_map(runner.run_cells, tasks, config.jobs, "instance"):
+            index, _, _, missing = plan[position]
+            emit(index, list(zip(missing, records)))
 
 
 class ServiceBackend(ExecutionBackend):

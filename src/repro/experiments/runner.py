@@ -1,21 +1,25 @@
 """Run allocators over corpora of allocation problems.
 
 Sweeps are embarrassingly parallel across instances: every (instance,
-register count, allocator) cell is independent.  A sweep is a *plan* — per
-instance, the cells still missing — that an execution backend
-(:mod:`repro.experiments.backends`) runs; without a store every cell is
-missing.  ``ExperimentConfig.jobs`` runs the plan's instances on a process
-pool while keeping the returned record list byte-for-byte identical to the
-serial order (records are reassembled in instance, register-count ×
-allocator order).
+register count, allocator) cell is independent.  :func:`run_experiment`
+(a whole corpus, records returned) and :func:`run_streamed_experiment` (a
+stream, ``window`` instances at a time, records left in the store) are thin
+wrappers around one loop, :func:`_sweep`: it selects instances
+(``skip_trivial``, ``max_instances``), and hands each window to
+:func:`_plan_and_execute`, which plans the cells still missing and has an
+execution backend (:mod:`repro.experiments.backends`) run them; without a
+store every cell is missing.  ``ExperimentConfig.jobs`` runs a plan's
+instances on a process pool while keeping the returned record list
+byte-for-byte identical to the serial order (records are reassembled in
+instance, register-count × allocator order).
 
-Passing an :class:`~repro.store.ExperimentStore` to :func:`run_experiment`
-makes the sweep *cache-aware and resumable*: cells already present in the
-store (content-addressed by ``(problem_digest, allocator, allocator_version,
-R)``) are served without invoking the allocator, only the misses are computed
-— sharded over the process pool when ``jobs > 1`` — and completed cells are
-flushed to the store incrementally, so an interrupted sweep restarts where it
-died.  Every store-backed sweep also appends a :class:`~repro.store.RunManifest`
+Passing an :class:`~repro.store.ExperimentStore` makes the sweep
+*cache-aware and resumable*: cells already present in the store
+(content-addressed by ``(problem_digest, allocator, allocator_version, R)``)
+are served without invoking the allocator, only the misses are computed —
+over the process pool when ``jobs > 1`` — and completed cells are flushed to
+the store incrementally, so an interrupted sweep restarts where it died.
+Every store-backed sweep also appends one :class:`~repro.store.RunManifest`
 recording provenance (corpus, seed, scale, config, git revision, wall time)
 and the cache hit/miss split.
 """
@@ -36,7 +40,7 @@ from repro.errors import ServiceError
 from repro.pipeline.passes import run_allocator
 from repro.store.base import ExperimentStore, RunManifest, current_git_rev, utc_now_iso
 from repro.store.keys import CellKey, problem_digest
-from repro.telemetry.tracer import Tracer, TraceSnapshot, current_tracer, use_tracer
+from repro.telemetry.tracer import current_tracer
 from repro.workloads.corpus import Corpus
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (backends imports us)
@@ -178,61 +182,10 @@ def run_cells(
     return records
 
 
-def _run_cells_worker(
-    problem: AllocationProblem,
-    cells: Sequence[Cell],
-    program: str,
-    verify: bool,
-    traced: bool = False,
-) -> Tuple[List[InstanceRecord], Optional[TraceSnapshot]]:
-    """Worker entry point of the parallel sweep (one instance)."""
-    if not traced:
-        return run_cells(problem, cells, program=program, verify=verify), None
-    tracer = Tracer()
-    with use_tracer(tracer):
-        records = run_cells(problem, cells, program=program, verify=verify)
-    return records, tracer.snapshot()
-
-
 def check_max_instances(max_instances: Optional[int]) -> None:
     """Raise ``ValueError`` for a ``max_instances`` below 1 (``None`` is no limit)."""
     if max_instances is not None and max_instances < 1:
         raise ValueError(f"max_instances must be >= 1, got {max_instances}")
-
-
-def _select_instances(
-    corpus: Corpus | Iterable[AllocationProblem],
-    config: ExperimentConfig,
-    max_instances: Optional[int],
-) -> List[Tuple[int, AllocationProblem, str]]:
-    """Apply trivial-skipping and truncation, identically for every path."""
-    if isinstance(corpus, Corpus):
-        problems = list(corpus.problems)
-        program_of = dict(corpus.program_of)
-    else:
-        problems = list(corpus)
-        program_of = {index: problem.name for index, problem in enumerate(problems)}
-
-    pressure_floor: Optional[int] = None
-    if config.skip_trivial and config.register_counts:
-        pressure_floor = min(config.register_counts)
-    selected: List[Tuple[int, AllocationProblem, str]] = []
-    for index, problem in enumerate(problems):
-        if max_instances is not None and len(selected) >= max_instances:
-            break
-        if pressure_floor is not None and problem.max_pressure <= pressure_floor:
-            continue
-        selected.append((index, problem, program_of.get(index, problem.name)))
-    return selected
-
-
-def _resolve_backend(backend: Optional["ExecutionBackend"]) -> "ExecutionBackend":
-    """Default to the local pool (which follows ``config.jobs``)."""
-    if backend is not None:
-        return backend
-    from repro.experiments.backends import LocalPoolBackend
-
-    return LocalPoolBackend()
 
 
 def run_experiment(
@@ -264,54 +217,215 @@ def run_experiment(
     computed and persisted — incrementally, so an interrupted sweep resumes
     from the last flushed cell.  ``resume=False`` recomputes every cell but
     still persists the results.  Cached cells are not re-verified; they were
-    verified when first computed.
+    verified when first computed.  The whole corpus is one window of
+    :func:`_sweep`.
+    """
+    if isinstance(corpus, Corpus):
+        program_of = corpus.program_of
+        problems: Iterable[Tuple[AllocationProblem, str]] = (
+            (problem, program_of.get(index, problem.name))
+            for index, problem in enumerate(corpus.problems)
+        )
+        provenance = (corpus.suite, corpus.target, corpus.seed, corpus.scale)
+    else:
+        problems = ((problem, problem.name) for problem in corpus)
+        provenance = (None, None, None, None)
+    records: List[InstanceRecord] = []
+    _sweep(
+        problems,
+        config,
+        store,
+        backend,
+        resume=resume,
+        max_instances=max_instances,
+        window=None,
+        provenance=provenance,
+        records=records,
+    )
+    return records
+
+
+def run_streamed_experiment(
+    problems: Iterable[AllocationProblem],
+    config: ExperimentConfig,
+    store: ExperimentStore,
+    *,
+    backend: Optional["ExecutionBackend"] = None,
+    window: int = 256,
+    resume: bool = True,
+    max_instances: Optional[int] = None,
+    suite: Optional[str] = None,
+    target: Optional[str] = None,
+    seed: Optional[int] = None,
+    scale: Optional[float] = None,
+) -> RunManifest:
+    """Sweep a streamed corpus at constant memory; returns the run manifest.
+
+    Unlike :func:`run_experiment`, the problem iterable is **never
+    materialized**: instances are pulled ``window`` at a time, keyed,
+    planned and executed against the store, then dropped — so a 100k+
+    function :class:`~repro.workloads.corpus.CorpusStream` sweeps in a
+    bounded footprint.  Records are not returned (they would themselves be
+    O(cells)); the store holds them for ``aggregate``/``report``.  One
+    manifest covers the whole stream, with the provenance fields passed in
+    (a bare iterable carries none of its own).
+    """
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    manifest = _sweep(
+        ((problem, problem.name) for problem in problems),
+        config,
+        store,
+        backend,
+        resume=resume,
+        max_instances=max_instances,
+        window=window,
+        provenance=(suite, target, seed, scale),
+    )
+    assert manifest is not None  # every sweep with a store writes one
+    return manifest
+
+
+# ---------------------------------------------------------------------- #
+# the sweep loop
+# ---------------------------------------------------------------------- #
+def _sweep(
+    problems: Iterable[Tuple[AllocationProblem, str]],
+    config: ExperimentConfig,
+    store: Optional[ExperimentStore],
+    backend: Optional["ExecutionBackend"],
+    *,
+    resume: bool,
+    max_instances: Optional[int],
+    window: Optional[int],
+    provenance: Tuple[Optional[str], Optional[str], Optional[int], Optional[float]],
+    records: Optional[List[InstanceRecord]] = None,
+) -> Optional[RunManifest]:
+    """The one sweep loop behind :func:`run_experiment` and
+    :func:`run_streamed_experiment`.
+
+    Pulls ``(problem, program)`` pairs, drops trivial instances
+    (``config.skip_trivial``) and stops after ``max_instances``; every
+    ``window`` selected instances (``None``: all of them) are planned and
+    executed by :func:`_plan_and_execute` and then dropped, their records
+    appended to ``records`` when given.  With a store, one manifest records
+    the sweep, with ``provenance`` = ``(suite, target, seed, scale)``; the
+    target also keys the cells.  Streamed sweeps (a ``window``) note it in
+    the manifest's config.
     """
     config.validate()
     check_max_instances(max_instances)
-    backend = _resolve_backend(backend)
-    selected = _select_instances(corpus, config, max_instances)
+    if backend is None:  # the local pool, which follows ``config.jobs``
+        from repro.experiments.backends import LocalPoolBackend
 
-    if store is not None:
-        return _run_with_store(corpus, config, selected, store, resume, backend)
-    if backend.requires_store:
+        backend = LocalPoolBackend()
+    if store is None and backend.requires_store:
         raise ServiceError(
             f"the {backend.name!r} execution backend requires a store: "
             "pass store=... to run_experiment so results have somewhere durable to land"
         )
-    # Without a store every cell is missing: the plan is the whole sweep.
-    full_cells = [(r, name) for r in config.register_counts for name in config.allocators]
-    cell_records: Dict[Tuple[int, Cell], InstanceRecord] = {}
-
-    def emit(index: int, pairs: List[Tuple[Cell, InstanceRecord]]) -> None:
-        for cell, record in pairs:
-            cell_records[(index, cell)] = record
-
-    plan = [(index, problem, program, full_cells) for index, problem, program in selected]
-    if plan:
-        backend.run_plan(plan, config, emit)
-    return [cell_records[(index, cell)] for index, _, _ in selected for cell in full_cells]
-
-
-# ---------------------------------------------------------------------- #
-# store-backed sweep
-# ---------------------------------------------------------------------- #
-def _plan_and_execute(
-    selected: List[Tuple[int, AllocationProblem, str]],
-    config: ExperimentConfig,
-    store: ExperimentStore,
-    resume: bool,
-    backend: "ExecutionBackend",
-    target: Optional[str],
-) -> Tuple[Dict[Tuple[int, Cell], InstanceRecord], List[Cell], int, Dict[str, Dict[str, int]]]:
-    """Key, plan and execute one window of instances against the store.
-
-    Returns ``(cell_records, full_cells, cells_cached, cache_by_allocator)``
-    — everything :func:`_run_with_store` and
-    :func:`run_streamed_experiment` need to assemble records and manifests.
-    """
+    started = time.perf_counter()
+    target = provenance[1]
     full_cells: List[Cell] = [
         (r, name) for r in config.register_counts for name in config.allocators
     ]
+    pressure_floor: Optional[int] = None
+    if config.skip_trivial and config.register_counts:
+        pressure_floor = min(config.register_counts)
+
+    instances = cells_cached = 0
+    cache_by_allocator: Dict[str, Dict[str, int]] = {}
+    batch: List[Tuple[int, AllocationProblem, str]] = []
+
+    def run_window() -> None:
+        nonlocal cells_cached
+        cell_records, window_cached, window_split = _plan_and_execute(
+            batch, full_cells, config, store, resume, backend, target
+        )
+        cells_cached += window_cached
+        for name, split in window_split.items():
+            fold = cache_by_allocator.setdefault(name, {"hit": 0, "miss": 0})
+            fold["hit"] += split["hit"]
+            fold["miss"] += split["miss"]
+        if records is not None:
+            records.extend(cell_records[(index, cell)] for index, _, _ in batch for cell in full_cells)
+        batch.clear()
+
+    for problem, program in problems:
+        if max_instances is not None and instances >= max_instances:
+            break
+        if pressure_floor is not None and problem.max_pressure <= pressure_floor:
+            continue
+        batch.append((instances, problem, program))
+        instances += 1
+        if len(batch) == window:
+            run_window()
+    if batch:
+        run_window()
+    if store is None:
+        return None
+
+    suite, _, seed, scale = provenance
+    cells_total = instances * len(full_cells)
+    run_config = {
+        "allocators": list(config.allocators),
+        "register_counts": list(config.register_counts),
+        "verify": config.verify,
+        "skip_trivial": config.skip_trivial,
+        "jobs": config.jobs,
+        "resume": resume,
+        "backend": backend.name,
+    }
+    if window is not None:
+        run_config["window"] = window
+    manifest = RunManifest(
+        run_id=uuid.uuid4().hex[:12],
+        created_at=utc_now_iso(),
+        suite=suite,
+        target=target,
+        seed=seed,
+        scale=scale,
+        config=run_config,
+        git_rev=current_git_rev(),
+        instances=instances,
+        cells_total=cells_total,
+        cells_computed=cells_total - cells_cached,
+        cells_cached=cells_cached,
+        wall_time_seconds=time.perf_counter() - started,
+        cache_by_allocator=cache_by_allocator,
+    )
+    store.add_manifest(manifest)
+    store.flush()
+    return manifest
+
+
+def _plan_and_execute(
+    selected: List[Tuple[int, AllocationProblem, str]],
+    full_cells: List[Cell],
+    config: ExperimentConfig,
+    store: Optional[ExperimentStore],
+    resume: bool,
+    backend: "ExecutionBackend",
+    target: Optional[str],
+) -> Tuple[Dict[Tuple[int, Cell], InstanceRecord], int, Dict[str, Dict[str, int]]]:
+    """Plan and execute one window of instances.
+
+    Without a store every cell is missing.  With one, cells are keyed, hits
+    are served from the store and misses are persisted as the backend
+    delivers them.  Returns ``(cell_records, cells_cached,
+    cache_by_allocator)``.
+    """
+    cell_records: Dict[Tuple[int, Cell], InstanceRecord] = {}
+    if store is None:
+
+        def keep(index: int, pairs: List[Tuple[Cell, InstanceRecord]]) -> None:
+            for cell, record in pairs:
+                cell_records[(index, cell)] = record
+
+        if selected:
+            plan = [(index, problem, program, full_cells) for index, problem, program in selected]
+            backend.run_plan(plan, config, keep)
+        return cell_records, 0, {}
 
     # Canonicalize allocator names/versions once; aliases ("layered") key the
     # same cells as their paper name ("NL").
@@ -333,7 +447,6 @@ def _plan_and_execute(
 
     cached = store.get_many(key_of.values()) if resume else {}
 
-    cell_records: Dict[Tuple[int, Cell], InstanceRecord] = {}
     plan: List[Tuple[int, AllocationProblem, str, List[Cell]]] = []
     for index, problem, program in selected:
         missing: List[Cell] = []
@@ -384,153 +497,4 @@ def _plan_and_execute(
     if plan:
         backend.run_plan(plan, config, emit)
     store.flush()
-    return cell_records, full_cells, cells_cached, cache_by_allocator
-
-
-def _run_with_store(
-    corpus: Corpus | Iterable[AllocationProblem],
-    config: ExperimentConfig,
-    selected: List[Tuple[int, AllocationProblem, str]],
-    store: ExperimentStore,
-    resume: bool,
-    backend: "ExecutionBackend",
-) -> List[InstanceRecord]:
-    """Cache-aware sweep: serve hits from ``store``, compute and persist misses."""
-    started = time.perf_counter()
-    target = corpus.target if isinstance(corpus, Corpus) else None
-    cell_records, full_cells, cells_cached, cache_by_allocator = _plan_and_execute(
-        selected, config, store, resume, backend, target
-    )
-    cells_total = len(selected) * len(full_cells)
-    records = [cell_records[(index, cell)] for index, _, _ in selected for cell in full_cells]
-
-    if isinstance(corpus, Corpus):
-        suite, corpus_target, seed, scale = corpus.suite, corpus.target, corpus.seed, corpus.scale
-    else:
-        suite = corpus_target = seed = scale = None
-    store.add_manifest(
-        RunManifest(
-            run_id=uuid.uuid4().hex[:12],
-            created_at=utc_now_iso(),
-            suite=suite,
-            target=corpus_target,
-            seed=seed,
-            scale=scale,
-            config={
-                "allocators": list(config.allocators),
-                "register_counts": list(config.register_counts),
-                "verify": config.verify,
-                "skip_trivial": config.skip_trivial,
-                "jobs": config.jobs,
-                "resume": resume,
-                "backend": backend.name,
-            },
-            git_rev=current_git_rev(),
-            instances=len(selected),
-            cells_total=cells_total,
-            cells_computed=cells_total - cells_cached,
-            cells_cached=cells_cached,
-            wall_time_seconds=time.perf_counter() - started,
-            cache_by_allocator=cache_by_allocator,
-        )
-    )
-    store.flush()
-    return records
-
-
-def run_streamed_experiment(
-    problems: Iterable[AllocationProblem],
-    config: ExperimentConfig,
-    store: ExperimentStore,
-    *,
-    backend: Optional["ExecutionBackend"] = None,
-    window: int = 256,
-    resume: bool = True,
-    max_instances: Optional[int] = None,
-    suite: Optional[str] = None,
-    target: Optional[str] = None,
-    seed: Optional[int] = None,
-    scale: Optional[float] = None,
-) -> RunManifest:
-    """Sweep a streamed corpus at constant memory; returns the run manifest.
-
-    Unlike :func:`run_experiment`, the problem iterable is **never
-    materialized**: instances are pulled ``window`` at a time, keyed,
-    planned and executed against the store, then dropped — so a 100k+
-    function :class:`~repro.workloads.corpus.CorpusStream` sweeps in a
-    bounded footprint.  Records are not returned (they would themselves be
-    O(cells)); the store holds them for ``aggregate``/``report``.  One
-    manifest covers the whole stream, with the provenance fields passed in
-    (a bare iterable carries none of its own).
-    """
-    config.validate()
-    check_max_instances(max_instances)
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    backend = _resolve_backend(backend)
-    started = time.perf_counter()
-
-    pressure_floor: Optional[int] = None
-    if config.skip_trivial and config.register_counts:
-        pressure_floor = min(config.register_counts)
-
-    cells_per_instance = len(config.register_counts) * len(config.allocators)
-    instances = 0
-    cells_cached = 0
-    cache_by_allocator: Dict[str, Dict[str, int]] = {}
-
-    batch: List[Tuple[int, AllocationProblem, str]] = []
-
-    def run_window() -> None:
-        nonlocal cells_cached
-        _cell_records, _full_cells, window_cached, window_split = _plan_and_execute(
-            batch, config, store, resume, backend, target
-        )
-        cells_cached += window_cached
-        for name, split in window_split.items():
-            fold = cache_by_allocator.setdefault(name, {"hit": 0, "miss": 0})
-            fold["hit"] += split["hit"]
-            fold["miss"] += split["miss"]
-        batch.clear()
-
-    for problem in problems:
-        if max_instances is not None and instances >= max_instances:
-            break
-        if pressure_floor is not None and problem.max_pressure <= pressure_floor:
-            continue
-        batch.append((instances, problem, problem.name))
-        instances += 1
-        if len(batch) >= window:
-            run_window()
-    if batch:
-        run_window()
-
-    cells_total = instances * cells_per_instance
-    manifest = RunManifest(
-        run_id=uuid.uuid4().hex[:12],
-        created_at=utc_now_iso(),
-        suite=suite,
-        target=target,
-        seed=seed,
-        scale=scale,
-        config={
-            "allocators": list(config.allocators),
-            "register_counts": list(config.register_counts),
-            "verify": config.verify,
-            "skip_trivial": config.skip_trivial,
-            "jobs": config.jobs,
-            "resume": resume,
-            "backend": backend.name,
-            "window": window,
-        },
-        git_rev=current_git_rev(),
-        instances=instances,
-        cells_total=cells_total,
-        cells_computed=cells_total - cells_cached,
-        cells_cached=cells_cached,
-        wall_time_seconds=time.perf_counter() - started,
-        cache_by_allocator=cache_by_allocator,
-    )
-    store.add_manifest(manifest)
-    store.flush()
-    return manifest
+    return cell_records, cells_cached, cache_by_allocator

@@ -3,11 +3,11 @@
 A campaign is ``count`` seeded programs × the deduplicated allocator set ×
 the chosen targets × the chosen register counts, each run through
 :func:`repro.oracle.harness.check_function`.  With ``jobs > 1`` the program
-indices are sharded round-robin over a
-:class:`~concurrent.futures.ProcessPoolExecutor` — the same pattern as
-:meth:`repro.pipeline.engine.Pipeline.run_many` — and workers *regenerate*
-their programs from ``(seed, index)`` instead of unpickling them, so a shard
-is a few integers on the wire.
+indices are sharded round-robin over the library's process pool
+(:func:`~repro.telemetry.tracer.pool_map`, as
+:meth:`repro.pipeline.engine.Pipeline.run_many` does), and workers
+*regenerate* their programs from ``(seed, index)`` instead of unpickling
+them, so a shard is a few integers on the wire.
 
 Failures are minimized with :mod:`repro.oracle.minimizer` and written to the
 regression corpus; the campaign itself is recorded as a
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import time
 import uuid
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -37,7 +36,7 @@ from repro.oracle.minimizer import minimization_summary, minimize
 from repro.oracle.regressions import save_regression
 from repro.store.base import ExperimentStore, RunManifest, current_git_rev, utc_now_iso
 from repro.targets import ALL_TARGETS
-from repro.telemetry.tracer import Tracer, TraceSnapshot, current_tracer, use_tracer
+from repro.telemetry.tracer import Tracer, current_tracer, pool_map, use_tracer
 
 #: default register counts: small enough to force spilling on every
 #: generated program, so the spill-code path is actually exercised.
@@ -155,56 +154,49 @@ def _run_shard(
     config: CampaignConfig,
     indices: Sequence[int],
     combos: Sequence[Tuple[str, str, int]],
-    traced: bool = False,
-) -> Tuple[int, int, int, int, List[OracleCheck], Optional[TraceSnapshot]]:
-    """Worker entry point: check every (program × combo) of one shard.
+) -> Tuple[int, int, int, int, List[OracleCheck]]:
+    """Check every (program × combo) of one shard.
 
-    Returns ``(checks, ok, skipped, spilled_total, failures, snapshot)`` —
-    passing checks are aggregated to counters so a large campaign ships only
-    its failures back to the parent.  In-process (serial) callers record
-    into the ambient tracer and get ``snapshot=None``; pool workers run with
-    ``traced=True`` when the parent is tracing and ship their own tracer's
-    snapshot back instead, including one ``oracle:program`` span per checked
-    program and per-failure-kind counters.
+    Returns ``(checks, ok, skipped, spilled_total, failures)`` — passing
+    checks are aggregated to counters so a large campaign ships only its
+    failures back to the parent.  Records into the ambient tracer (a pool
+    worker's own when the parent is tracing) one ``oracle:program`` span
+    per checked program and per-failure-kind counters.
     """
-    own_tracer = Tracer() if traced else None
-    tracer = own_tracer if own_tracer is not None else current_tracer()
+    tracer = current_tracer()
     checks = ok = skipped = spilled_total = 0
     failures: List[OracleCheck] = []
-    with use_tracer(tracer):
-        for index in indices:
-            function = generate_program(config.seed, index, size=config.size)
-            with tracer.span("oracle:program", category="oracle", program=function.name) as span:
-                program_failures = 0
-                for check in check_program(
-                    function,
-                    combos,
-                    ssa=config.ssa,
-                    argument_sets=DEFAULT_ARGUMENT_SETS,
-                    max_steps=config.max_steps,
-                    constrain=config.constrain,
-                ):
-                    checks += 1
-                    if check.status == "ok":
-                        ok += 1
-                        spilled_total += check.spilled
-                    elif check.status == "skipped":
-                        skipped += 1
-                    else:
-                        failures.append(check)
-                        program_failures += 1
-                        if tracer.enabled:
-                            for kind in check.kinds:
-                                tracer.count(f"oracle.kind.{kind}")
-                span.set(failures=program_failures)
-        if tracer.enabled:
-            tracer.count("oracle.checks", checks)
-            tracer.count("oracle.ok", ok)
-            tracer.count("oracle.skipped", skipped)
-            tracer.count("oracle.failures", len(failures))
-    return checks, ok, skipped, spilled_total, failures, (
-        own_tracer.snapshot() if own_tracer is not None else None
-    )
+    for index in indices:
+        function = generate_program(config.seed, index, size=config.size)
+        with tracer.span("oracle:program", category="oracle", program=function.name) as span:
+            program_failures = 0
+            for check in check_program(
+                function,
+                combos,
+                ssa=config.ssa,
+                argument_sets=DEFAULT_ARGUMENT_SETS,
+                max_steps=config.max_steps,
+                constrain=config.constrain,
+            ):
+                checks += 1
+                if check.status == "ok":
+                    ok += 1
+                    spilled_total += check.spilled
+                elif check.status == "skipped":
+                    skipped += 1
+                else:
+                    failures.append(check)
+                    program_failures += 1
+                    if tracer.enabled:
+                        for kind in check.kinds:
+                            tracer.count(f"oracle.kind.{kind}")
+            span.set(failures=program_failures)
+    if tracer.enabled:
+        tracer.count("oracle.checks", checks)
+        tracer.count("oracle.ok", ok)
+        tracer.count("oracle.skipped", skipped)
+        tracer.count("oracle.failures", len(failures))
+    return checks, ok, skipped, spilled_total, failures
 
 
 def _minimize_failures(
@@ -297,30 +289,19 @@ def run_campaign(
         jobs=config.jobs,
     ):
         if config.jobs <= 1 or len(indices) <= 1:
-            checks, ok, skipped, spilled_total, failures, _ = _run_shard(config, indices, combos)
+            checks, ok, skipped, spilled_total, failures = _run_shard(config, indices, combos)
         else:
             workers = min(config.jobs, len(indices))
-            shards: List[List[int]] = [[] for _ in range(workers)]
-            for position, index in enumerate(indices):
-                shards[position % workers].append(index)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_run_shard, config, shard, combos, tracer.enabled)
-                    for shard in shards
-                ]
-                # Futures are iterated in submission (shard) order, so worker
-                # snapshots merge deterministically for a given sharding.
-                for shard_index, future in enumerate(futures):
-                    shard_checks, shard_ok, shard_skipped, shard_spilled, shard_failures, snapshot = (
-                        future.result()
-                    )
-                    checks += shard_checks
-                    ok += shard_ok
-                    skipped += shard_skipped
-                    spilled_total += shard_spilled
-                    failures.extend(shard_failures)
-                    if snapshot is not None:
-                        tracer.merge(snapshot, label=f"worker-{shard_index}")
+            shards = [(config, indices[start::workers], combos) for start in range(workers)]
+            # Completion order is fine: the failures are sorted below.
+            for _, (shard_checks, shard_ok, shard_skipped, shard_spilled, shard_failures) in pool_map(
+                _run_shard, shards, workers, "worker"
+            ):
+                checks += shard_checks
+                ok += shard_ok
+                skipped += shard_skipped
+                spilled_total += shard_spilled
+                failures.extend(shard_failures)
 
     failures.sort(key=lambda f: (f.program, f.allocator, f.target, f.registers))
     regressions, _logs = _minimize_failures(config, failures, regressions_dir)

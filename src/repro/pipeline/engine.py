@@ -8,7 +8,7 @@ optimization and verification — behind one API::
 
     pipe = Pipeline.from_spec("NL", target="st231", registers=4)
     context = pipe.run(function)          # one function
-    contexts = pipe.run_many(module.functions.values(), jobs=4)
+    contexts = pipe.run_many(module, jobs=4)   # a batch, over a process pool
 
 Attach an experiment store (path or open
 :class:`~repro.store.ExperimentStore`) and the ``allocate`` stage becomes
@@ -17,15 +17,14 @@ R)`` contract: a warm batch over an unchanged corpus performs **zero**
 allocator calls, and the cells it writes are the same ones
 ``repro-alloc sweep`` reads.
 
-Batch runs shard round-robin over a
-:class:`~concurrent.futures.ProcessPoolExecutor` and reassemble the results
-in input order, so ``jobs`` never changes the output.
+Batch runs shard round-robin over the library's process pool
+(:func:`~repro.telemetry.tracer.pool_map`) and reassemble the results in
+input order, so ``jobs`` never changes the output.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Any, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -33,12 +32,11 @@ from repro.alloc.problem import AllocationProblem
 from repro.check import IR_CHECKERS, CheckError, Severity, check_pipeline_context
 from repro.errors import PipelineError
 from repro.ir.function import Function
-from repro.ir.module import Module
 from repro.pipeline.context import PipelineContext
 from repro.pipeline.passes import Pass, get_pass
 from repro.pipeline.spec import PipelineSpec
 from repro.store.base import ExperimentStore, open_store
-from repro.telemetry.tracer import Tracer, current_tracer, scalar_attrs, use_tracer
+from repro.telemetry.tracer import current_tracer, pool_map, scalar_attrs, use_tracer
 
 StoreLike = Union[ExperimentStore, str, Path, None]
 
@@ -155,10 +153,6 @@ class Pipeline:
             self._store.flush()
         return context
 
-    def run_module(self, module: Module) -> List[PipelineContext]:
-        """Run every function of a module, in order."""
-        return [self.run(function) for function in module]
-
     def run_context(self, context: PipelineContext) -> PipelineContext:
         """Run the chain on a caller-built (possibly pre-populated) context.
 
@@ -176,12 +170,7 @@ class Pipeline:
     # ------------------------------------------------------------------ #
     # batch entry point
     # ------------------------------------------------------------------ #
-    def run_many(
-        self,
-        functions: Iterable[Function],
-        jobs: int = 1,
-        names: Optional[Sequence[str]] = None,
-    ) -> List[PipelineContext]:
+    def run_many(self, functions: Iterable[Function], jobs: int = 1) -> List[PipelineContext]:
         """Run the chain over a batch of functions, optionally in parallel.
 
         ``jobs > 1`` shards the batch round-robin over a process pool and
@@ -189,7 +178,8 @@ class Pipeline:
         to a serial run (modulo measured timings).  Workers share the
         allocate-stage cache through the store *file*: each opens its own
         connection to :attr:`ExperimentStore.path`, and SQLite handles the
-        concurrent writers.
+        concurrent writers.  When tracing, each shard's spans land on lane
+        ``worker-N`` under the ``pipeline:run_many`` span.
 
         Workers rebuild the pass/allocator registries by importing the
         library, so custom passes and allocators used in a parallel batch
@@ -200,58 +190,24 @@ class Pipeline:
         """
         if jobs < 1:
             raise PipelineError(f"jobs must be >= 1, got {jobs}")
-        function_list = list(functions)
-        if names is not None and len(names) != len(function_list):
-            raise PipelineError(
-                f"names has {len(names)} entries for {len(function_list)} functions"
-            )
-        items: List[Tuple[int, Function, Optional[str]]] = [
-            (index, function, names[index] if names is not None else None)
-            for index, function in enumerate(function_list)
-        ]
-
-        tracer = self.tracer()
-        if jobs <= 1 or len(items) <= 1:
-            with use_tracer(tracer), tracer.span(
-                "pipeline:run_many", category="pipeline", functions=len(items), jobs=1
-            ):
-                contexts = [self.run(function, name=name) for _, function, name in items]
-            if self._store is not None:
-                self._store.flush()
-            return contexts
-
+        items = list(enumerate(functions))
         workers = min(jobs, len(items))
-        shards: List[List[Tuple[int, Function, Optional[str]]]] = [[] for _ in range(workers)]
-        for position, item in enumerate(items):
-            shards[position % workers].append(item)
-
-        worker_store_path: Optional[str] = None
-        if self._store is not None:
-            self._store.flush()
-            worker_store_path = str(self._store.path)
-
-        spec = self.spec
-        indexed: List[Tuple[int, PipelineContext]] = []
-        # Workers cannot share the parent's tracer: when tracing, each builds
-        # its own and ships a snapshot back with its results; snapshots merge
-        # in shard order (futures are iterated in submission order), so span
-        # ordering and lane numbering are deterministic for a given sharding.
+        tracer = self.tracer()
         with use_tracer(tracer), tracer.span(
-            "pipeline:run_many", category="pipeline", functions=len(items), jobs=workers
+            "pipeline:run_many", category="pipeline", functions=len(items), jobs=max(workers, 1)
         ):
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_run_shard, spec, worker_store_path, shard, tracer.enabled)
-                    for shard in shards
-                ]
-                for shard_index, future in enumerate(futures):
-                    pairs, trace_snapshot = future.result()
+            if workers <= 1:
+                contexts = [self.run(function) for _, function in items]
+            else:
+                store_path: Optional[str] = None
+                if self._store is not None:
+                    self._store.flush()
+                    store_path = str(self._store.path)
+                shards = [(self.spec, store_path, items[start::workers]) for start in range(workers)]
+                indexed: List[Tuple[int, PipelineContext]] = []
+                for _, pairs in pool_map(_run_shard, shards, workers, "worker"):
                     indexed.extend(pairs)
-                    if trace_snapshot is not None:
-                        tracer.merge(trace_snapshot, label=f"worker-{shard_index}")
-        indexed.sort(key=lambda pair: pair[0])
-        contexts = [context for _, context in indexed]
-
+                contexts = [context for _, context in sorted(indexed, key=lambda pair: pair[0])]
         if self._store is not None:
             self._store.flush()
         return contexts
@@ -372,25 +328,17 @@ class Pipeline:
 def _run_shard(
     spec: PipelineSpec,
     store_path: Optional[str],
-    shard: Sequence[Tuple[int, Function, Optional[str]]],
-    traced: bool = False,
-) -> Tuple[List[Tuple[int, PipelineContext]], Optional[Any]]:
+    shard: Sequence[Tuple[int, Function]],
+) -> List[Tuple[int, PipelineContext]]:
     """Worker entry point: run one shard with its own store connection.
 
-    Module-level so it pickles for :class:`ProcessPoolExecutor`; the input
-    index travels with each context so the parent restores input order.
-    When the parent is tracing (``traced``), the worker collects into its own
-    tracer and returns the picklable snapshot for the parent to merge.
+    Module-level so it pickles for the process pool; the input index
+    travels with each context so the parent restores input order.
     """
     store = open_store(store_path) if store_path is not None else None
-    tracer = Tracer() if traced else None
     try:
-        pipeline = Pipeline(spec, store=store, tracer=tracer)
-        pairs = [
-            (index, pipeline.run(function, name=name))
-            for index, function, name in shard
-        ]
-        return pairs, (tracer.snapshot() if tracer is not None else None)
+        pipeline = Pipeline(spec, store=store)
+        return [(index, pipeline.run(function)) for index, function in shard]
     finally:
         if store is not None:
             store.close()

@@ -71,6 +71,9 @@ from repro.service.jobs import (
 )
 from repro.telemetry.tracer import current_tracer
 
+#: attempts a job gets when its submission names no ``max_attempts``.
+DEFAULT_MAX_ATTEMPTS = 3
+
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS jobs (
     seq          INTEGER PRIMARY KEY AUTOINCREMENT,
@@ -169,7 +172,6 @@ class JobQueue:
         *,
         aging_seconds: float = 30.0,
         retry_backoff: float = 0.05,
-        default_max_attempts: int = 3,
         clock: Callable[[], float] = time.time,
         tracer: Optional[Any] = None,
     ) -> None:
@@ -181,7 +183,6 @@ class JobQueue:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.aging_seconds = float(aging_seconds)
         self.retry_backoff = float(retry_backoff)
-        self.default_max_attempts = int(default_max_attempts)
         self._clock = clock
         self._tracer = tracer
         self._lock = threading.Lock()
@@ -250,7 +251,7 @@ class JobQueue:
         :meth:`claim`); untagged jobs share the ``""`` client.
         """
         stamp = self._now(now)
-        attempts = self.default_max_attempts if max_attempts is None else int(max_attempts)
+        attempts = DEFAULT_MAX_ATTEMPTS if max_attempts is None else int(max_attempts)
         if attempts < 1:
             raise ServiceError(f"max_attempts must be >= 1, got {max_attempts}")
         tracer = self.tracer()

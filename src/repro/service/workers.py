@@ -31,6 +31,10 @@ from repro.service.queue import JobQueue
 from repro.store.base import open_store
 from repro.telemetry.tracer import Tracer, use_tracer
 
+#: seconds an idle worker sleeps before polling the queue again (an
+#: enqueue wakes it sooner).
+POLL_INTERVAL = 0.05
+
 
 class ServiceTelemetry:
     """Thread-safe telemetry aggregate shared by the queue, pool and server.
@@ -131,13 +135,11 @@ class WorkerPool:
         store_path: Union[str, Any],
         *,
         workers: int = 2,
-        poll_interval: float = 0.05,
         telemetry: Optional[ServiceTelemetry] = None,
     ) -> None:
         self.queue = queue
         self.store_path = str(store_path)
         self.telemetry = telemetry if telemetry is not None else ServiceTelemetry()
-        self.poll_interval = float(poll_interval)
         self._num_workers = workers
         self._threads: List[threading.Thread] = []
         self._stop = threading.Event()
@@ -197,7 +199,7 @@ class WorkerPool:
                 job = self.queue.claim(worker_name)
                 if job is None:
                     with self._wake:
-                        self._wake.wait(timeout=self.poll_interval)
+                        self._wake.wait(timeout=POLL_INTERVAL)
                     continue
                 self._run_one(job, store)
         finally:

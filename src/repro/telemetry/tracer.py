@@ -28,10 +28,11 @@ Enable tracing by binding a real tracer around the work::
 
 Process-pool workers cannot share the parent's tracer; they build their own,
 return :meth:`Tracer.snapshot` (a picklable value object) with their results,
-and the parent folds the snapshots back in shard order with
-:meth:`Tracer.merge` — each worker gets its own *lane* (rendered as a thread
-row in the Chrome trace export), and merge order is deterministic because the
-pool paths iterate futures in shard order.
+and the parent folds the snapshots back in task order with
+:meth:`Tracer.merge` — each task gets its own *lane* (rendered as a thread
+row in the Chrome trace export).  :func:`pool_map` is that pattern, and the
+one process pool of the library: pipeline batches, sweeps and oracle
+campaigns all fan out through it.
 
 Determinism: span ids are assigned in creation order and exports list events
 in id order, so two runs of the same workload produce the same span
@@ -44,7 +45,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -261,7 +262,7 @@ class Tracer:
         on a fresh *lane*; child roots become children of the currently open
         span (so a worker's work nests under the batch span that spawned it).
         Counters accumulate, gauges are overwritten (merge order decides, and
-        the pool paths merge in shard order, so the outcome is
+        :func:`pool_map` merges in task order, so the outcome is
         deterministic).  Child lane labels beyond lane 0 are preserved with a
         ``label/`` prefix, supporting two-level pools.
         """
@@ -362,3 +363,47 @@ def scalar_attrs(mapping: Optional[Dict[str, Any]]) -> Dict[str, Any]:
         for key, value in mapping.items()
         if isinstance(value, (str, int, float, bool)) or value is None
     }
+
+
+# ---------------------------------------------------------------------- #
+# process-pool fan-out
+# ---------------------------------------------------------------------- #
+def _traced_call(fn: Callable[..., Any], args: Sequence[Any], traced: bool) -> Tuple[Any, Optional[TraceSnapshot]]:
+    """Worker side of :func:`pool_map`: ``fn(*args)``, under a tracer of its
+    own when the parent is tracing, and that tracer's snapshot."""
+    if not traced:
+        return fn(*args), None
+    tracer = Tracer()
+    with use_tracer(tracer):
+        result = fn(*args)
+    return result, tracer.snapshot()
+
+
+def pool_map(
+    fn: Callable[..., Any], tasks: Sequence[Sequence[Any]], jobs: int, lane: str
+) -> Iterator[Tuple[int, Any]]:
+    """Run ``fn(*task)`` for every task on ``min(jobs, len(tasks))`` worker
+    processes; yield ``(task position, result)`` as each task finishes.
+
+    ``fn`` and the tasks must pickle (a module-level function and plain
+    values).  When the ambient tracer is enabled, each task records into a
+    tracer of its own, and once every task is done the snapshots merge into
+    the ambient tracer in task order, on lanes ``f"{lane}-{position}"``
+    under the span open at that point.
+    """
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
+    tracer = current_tracer()
+    snapshots: Dict[int, TraceSnapshot] = {}
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        futures = {
+            pool.submit(_traced_call, fn, task, tracer.enabled): position
+            for position, task in enumerate(tasks)
+        }
+        for future in as_completed(futures):
+            result, snapshot = future.result()
+            if snapshot is not None:
+                snapshots[futures[future]] = snapshot
+            yield futures[future], result
+    for position in sorted(snapshots):
+        tracer.merge(snapshots[position], label=f"{lane}-{position}")

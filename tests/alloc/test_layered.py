@@ -38,18 +38,19 @@ def test_get_allocator_is_case_insensitive():
 # optimal_layer
 # ---------------------------------------------------------------------- #
 def test_optimal_layer_is_max_weight_stable_set(figure4_graph):
-    layer = optimal_layer(figure4_graph, set(figure4_graph.vertices()))
+    peo = make_problem(figure4_graph, 1).peo
+    layer = optimal_layer(figure4_graph, set(figure4_graph.vertices()), peo)
     assert is_stable_set(figure4_graph, layer)
     assert figure4_graph.total_weight(layer) == 8
 
 
 def test_optimal_layer_respects_candidates(figure4_graph):
-    layer = optimal_layer(figure4_graph, {"a", "d"})
+    layer = optimal_layer(figure4_graph, {"a", "d"}, make_problem(figure4_graph, 1).peo)
     assert set(layer) == {"d"}  # a and d interfere; d is heavier
 
 
 def test_optimal_layer_empty_candidates(figure4_graph):
-    assert optimal_layer(figure4_graph, set()) == []
+    assert optimal_layer(figure4_graph, set(), make_problem(figure4_graph, 1).peo) == []
 
 
 # ---------------------------------------------------------------------- #

@@ -1,12 +1,15 @@
 """The shared-PEO layered fast path must be behaviour-preserving.
 
-The refactored NL/BL/FPL/BFPL allocators compute one perfect elimination
-order per problem and run Frank's algorithm over candidate masks; the seed
-implementation (kept as ``shared_peo=False``) materialized a fresh subgraph
-and recomputed a maximum-cardinality search every round.  These tests pin
-down that the two paths agree layer by layer, that every layer is a true
-maximum weighted stable set (brute-force cross-check), and that the fast
-path never calls ``Graph.subgraph`` in its hot loop.
+The NL/BL/FPL/BFPL allocators compute one perfect elimination order per
+problem and run Frank's algorithm over candidate masks; the seed
+implementation materialized a fresh subgraph and recomputed a
+maximum-cardinality search every round.  That seed kernel lives on here as
+:func:`seed_optimal_layer`, and the ``seed_path`` fixture runs any layered
+allocator (constrained or not) with it in place of
+``repro.alloc.layered.optimal_layer``.  These tests pin down that the two
+kernels agree layer by layer, that every layer is a true maximum weighted
+stable set (brute-force cross-check), and that the fast path never calls
+``Graph.subgraph`` in its hot loop.
 
 Scope of the guarantee: each layer's *weight* is provably identical (both
 paths return a maximum weighted stable set of the remaining candidates);
@@ -21,29 +24,68 @@ import random
 
 import pytest
 
-from repro.alloc.base import get_allocator
+from repro.alloc import layered
 from repro.alloc.biased import BiasedLayeredAllocator
+from repro.alloc.constraints import auto_constraints
 from repro.alloc.fixed_point import BiasedFixedPointLayeredAllocator, FixedPointLayeredAllocator
 from repro.alloc.layered import LayeredOptimalAllocator, optimal_layer
 from repro.alloc.problem import AllocationProblem
 from repro.graphs.generators import random_chordal_graph, random_interval_graph
 from repro.graphs.graph import Graph
-from repro.graphs.stable_set import brute_force_max_weight_stable_set, is_stable_set
+from repro.graphs.stable_set import (
+    brute_force_max_weight_stable_set,
+    is_stable_set,
+    maximum_weighted_stable_set,
+)
+from repro.targets import get_target
 from repro.workloads.corpus import build_corpus
 from tests.conftest import count_calls
 
 N_PROPERTY_GRAPHS = 200
 MAX_VERTICES = 18
 BRUTE_FORCE_MAX_VERTICES = 12
+LAYERED_ALLOCATORS = pytest.mark.parametrize(
+    "allocator_factory",
+    [
+        LayeredOptimalAllocator,
+        BiasedLayeredAllocator,
+        FixedPointLayeredAllocator,
+        BiasedFixedPointLayeredAllocator,
+    ],
+    ids=["NL", "BL", "FPL", "BFPL"],
+)
 
 
-def _layers(graph, num_registers, peo):
-    """Replicate NL's round loop, recording each layer."""
+def seed_optimal_layer(graph, candidates, peo, weights=None):
+    """The seed kernel: materialize the candidate subgraph and search it
+    with a fresh maximum-cardinality search (``peo`` is ignored)."""
+    if not candidates:
+        return []
+    subgraph = graph.subgraph(candidates)
+    if weights is not None:
+        weights = {v: weights[v] for v in subgraph.vertices()}
+    return maximum_weighted_stable_set(subgraph, weights=weights)
+
+
+@pytest.fixture
+def seed_path(monkeypatch):
+    """``seed_path(allocator, problem)``: allocate with the seed kernel."""
+
+    def allocate(allocator, problem):
+        with monkeypatch.context() as patch:
+            patch.setattr(layered, "optimal_layer", seed_optimal_layer)
+            return allocator.allocate(problem)
+
+    return allocate
+
+
+def _layers(graph, num_registers, kernel, peo):
+    """Replicate NL's round loop with ``kernel``, recording each layer."""
     candidates = set(graph.vertices())
     layers = []
     rounds = 0
     while candidates and rounds < num_registers:
-        layer = optimal_layer(graph, candidates, peo=peo)
+        layer = kernel(graph, candidates, peo)
         if not layer:
             break
         layers.append(list(layer))
@@ -53,7 +95,7 @@ def _layers(graph, num_registers, peo):
 
 
 @pytest.mark.parametrize("case", range(N_PROPERTY_GRAPHS))
-def test_old_and_new_paths_agree_layer_by_layer(case):
+def test_old_and_new_paths_agree_layer_by_layer(case, seed_path):
     """Property test: identical layer-by-layer spill costs on random graphs.
 
     The old path (per-round subgraph + MCS) and the new path (one shared PEO,
@@ -66,8 +108,8 @@ def test_old_and_new_paths_agree_layer_by_layer(case):
     num_registers = rng.randint(1, 4)
     problem = AllocationProblem(graph=graph, num_registers=num_registers)
 
-    old_layers = _layers(graph, num_registers, peo=None)
-    new_layers = _layers(graph, num_registers, peo=problem.peo)
+    old_layers = _layers(graph, num_registers, seed_optimal_layer, problem.peo)
+    new_layers = _layers(graph, num_registers, optimal_layer, problem.peo)
 
     assert len(old_layers) == len(new_layers), (case, old_layers, new_layers)
     remaining_old = set(graph.vertices())
@@ -87,43 +129,51 @@ def test_old_and_new_paths_agree_layer_by_layer(case):
         remaining_new.difference_update(new_layer)
 
     # End-to-end spill costs through the allocator API agree as well.
-    old_result = LayeredOptimalAllocator(shared_peo=False).allocate(problem)
+    old_result = seed_path(LayeredOptimalAllocator(), problem)
     new_result = LayeredOptimalAllocator().allocate(problem)
     assert new_result.spill_cost == pytest.approx(old_result.spill_cost)
 
 
-@pytest.mark.parametrize(
-    "allocator_factory",
-    [
-        LayeredOptimalAllocator,
-        BiasedLayeredAllocator,
-        FixedPointLayeredAllocator,
-        BiasedFixedPointLayeredAllocator,
-    ],
-    ids=["NL", "BL", "FPL", "BFPL"],
-)
-def test_all_layered_allocators_match_seed_path(allocator_factory):
+@LAYERED_ALLOCATORS
+def test_all_layered_allocators_match_seed_path(allocator_factory, seed_path):
     """Every layered variant agrees with its seed path on random instances."""
     for seed in range(40):
         rng = random.Random(seed * 7919)
         graph = random_chordal_graph(rng.randint(2, 24), rng=seed * 31 + 5)
         for num_registers in (1, 2, 3):
             problem = AllocationProblem(graph=graph, num_registers=num_registers)
-            old = allocator_factory(shared_peo=False).allocate(problem)
+            old = seed_path(allocator_factory(), problem)
             new = allocator_factory().allocate(
                 AllocationProblem(graph=graph, num_registers=num_registers)
             )
             assert new.spill_cost == pytest.approx(old.spill_cost), (seed, num_registers)
 
 
-def test_nl_identical_spill_costs_on_existing_corpora():
+@LAYERED_ALLOCATORS
+def test_constrained_layered_allocators_match_seed_path(allocator_factory, seed_path):
+    """The constrained layering (``RegisterLayers.grow``) agrees with the
+    seed kernel too: classes, pre-colorings and aliases on riscv and st231."""
+    for seed in range(40):
+        rng = random.Random(seed * 7919)
+        graph = random_chordal_graph(rng.randint(2, 24), rng=seed * 31 + 5)
+        for target, fraction in (("riscv", 0.25), ("riscv", 0.6), ("st231", 0.6)):
+            constraints = auto_constraints(graph, get_target(target), fraction=fraction)
+            for num_registers in (1, 2, 3):
+                problem = AllocationProblem(graph=graph, num_registers=num_registers, constraints=constraints)
+                old = seed_path(allocator_factory(), problem)
+                new = allocator_factory().allocate(problem)
+                assert new.stats["constrained"] and old.stats == new.stats, (seed, target, num_registers)
+                assert new.spill_cost == pytest.approx(old.spill_cost), (seed, target, num_registers)
+
+
+def test_nl_identical_spill_costs_on_existing_corpora(seed_path):
     """Acceptance: NL matches the seed path on the standard corpora."""
     for suite in ("spec2000int", "eembc", "lao_kernels"):
         corpus = build_corpus(suite, seed=2013, scale=0.2)
         for problem in corpus:
             for num_registers in (1, 2, 4, 8, 16):
                 instance = problem.with_registers(num_registers)
-                old = LayeredOptimalAllocator(shared_peo=False).allocate(instance)
+                old = seed_path(LayeredOptimalAllocator(), instance)
                 new = LayeredOptimalAllocator().allocate(instance)
                 assert new.spill_cost == pytest.approx(old.spill_cost), (
                     suite,
@@ -132,7 +182,7 @@ def test_nl_identical_spill_costs_on_existing_corpora():
                 )
 
 
-def test_nl_hot_loop_makes_zero_subgraph_calls(monkeypatch):
+def test_nl_hot_loop_makes_zero_subgraph_calls(monkeypatch, seed_path):
     """Acceptance: the NL hot loop never materializes a subgraph copy."""
     graph, _ = random_interval_graph(120, rng=3, span=120, max_length=30)
     problem = AllocationProblem(graph=graph, num_registers=16)
@@ -150,17 +200,9 @@ def test_nl_hot_loop_makes_zero_subgraph_calls(monkeypatch):
     assert calls["subgraph"] == 0
     assert result.stats["layers"] == 16
 
-    # The reference path, by contrast, copies once per round.
-    legacy = LayeredOptimalAllocator(shared_peo=False).allocate(
-        AllocationProblem(graph=graph, num_registers=16)
-    )
+    # The seed kernel, by contrast, copies once per round.
+    legacy = seed_path(LayeredOptimalAllocator(), AllocationProblem(graph=graph, num_registers=16))
     assert calls["subgraph"] == legacy.stats["layers"] > 0
-
-
-def test_registry_default_uses_shared_peo():
-    allocator = get_allocator("NL")
-    assert isinstance(allocator, LayeredOptimalAllocator)
-    assert allocator.shared_peo
 
 
 def test_shared_cache_carries_across_register_sweep():

@@ -114,7 +114,8 @@ def test_shipped_examples_are_clean_under_check_each(path, target, ssa):
     pipe = Pipeline.from_spec(
         "NL", target=target, registers=4, ssa=ssa, check="each"
     )
-    for context in pipe.run_module(module):
+    for function in module:
+        context = pipe.run(function)
         assert context.result is not None
         assert context.diagnostics == (), [d.render() for d in context.diagnostics]
 

@@ -5,7 +5,6 @@ import dataclasses
 import pytest
 
 from repro.errors import PipelineError
-from repro.ir.parser import parse_module
 from repro.pipeline import Pass, Pipeline, PipelineContext, register_pass
 from repro.workloads.programs import GeneratorProfile, generate_function
 
@@ -101,25 +100,10 @@ def test_run_many_serial_matches_parallel():
     assert [c.name for c in serial] == [c.name for c in parallel]
 
 
-def test_run_many_names_override_and_validate():
-    fns = _functions(2)
+def test_run_many_rejects_nonpositive_jobs():
     pipe = Pipeline.from_spec("NL", registers=4, verify=False)
-    contexts = pipe.run_many(fns, names=["alpha", "beta"])
-    assert [c.name for c in contexts] == ["alpha", "beta"]
-    with pytest.raises(PipelineError, match="names has"):
-        pipe.run_many(fns, names=["only-one"])
     with pytest.raises(PipelineError, match="jobs"):
-        pipe.run_many(fns, jobs=0)
-
-
-def test_run_module_runs_every_function():
-    text = "\n\n".join(
-        f"func @f{i}(%a, %b) {{\nentry:\n  %x = add %a, %b\n  ret %x\n}}" for i in range(3)
-    )
-    module = parse_module(text)
-    contexts = Pipeline.from_spec("NL", registers=2).run_module(module)
-    assert [c.name for c in contexts] == ["f0", "f1", "f2"]
-    assert all(c.spill_cost == 0.0 for c in contexts)
+        pipe.run_many(_functions(2), jobs=0)
 
 
 def test_custom_pass_registers_like_an_allocator():

@@ -52,6 +52,12 @@ def test_traced_run_nests_pipeline_pass_and_allocator_spans():
         phases = snapshot.find(name)
         assert len(phases) == 1 and phases[0].parent_id == allocate_span.span_id
     assert snapshot.counters["alloc.frank.calls"] >= 1
+    # Both phases run NL's layering loop, one alloc:layer span per round.
+    phase_ids = {snapshot.find(name)[0].span_id for name in ("alloc:layered_phase", "alloc:fixed_point_phase")}
+    rounds = snapshot.find("alloc:layer")
+    assert rounds and {e.parent_id for e in rounds} <= phase_ids
+    layers = snapshot.find("alloc:layered_phase")[0].attrs["layers"]
+    assert snapshot.counters["alloc.layered.rounds"] == layers >= 1
     # Run-level store counters are declared even on storeless runs.
     assert snapshot.counters["store.hit"] == 0
     assert snapshot.counters["store.miss"] == 0
