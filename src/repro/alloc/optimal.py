@@ -1,9 +1,10 @@
 """The "Optimal" allocator: exact spill-everywhere optimum with backend dispatch.
 
-Uses the scipy MILP backend when available (fast, scales to the corpus sizes
-of the experiment harness) and falls back to the in-house branch-and-bound
-solver otherwise.  Both solve the same maximal-clique formulation, so the
-results are identical; the test suite cross-checks them on small instances.
+Uses the scipy MILP backend when scipy imports (fast, scales to the corpus
+sizes of the experiment harness) and the in-house branch-and-bound solver
+otherwise.  Both solve the same maximal-clique formulation exactly, so their
+costs are identical; their sets may differ among equal-cost optima.  The test
+suite cross-checks them on small instances.
 """
 
 from __future__ import annotations
@@ -18,9 +19,7 @@ from repro.alloc.result import AllocationResult
 from repro.graphs.graph import Graph, Vertex
 
 
-def solve_optimal_allocation(
-    graph: Graph, num_registers: int, cliques=None, prefer_ilp: bool = True
-) -> Tuple[Set[Vertex], float]:
+def solve_optimal_allocation(graph: Graph, num_registers: int, cliques=None) -> Tuple[Set[Vertex], float]:
     """Return ``(allocated, allocated_weight)`` using the best available backend.
 
     The branch-and-bound fallback runs with the historical 2M-node budget:
@@ -28,7 +27,7 @@ def solve_optimal_allocation(
     always could, while the standalone Optimal-BB allocator keeps the small
     default that makes fuzz campaigns affordable.
     """
-    if prefer_ilp and scipy_available():
+    if scipy_available():
         return solve_ilp(graph, num_registers, cliques=cliques)
     return solve_branch_and_bound(graph, num_registers, cliques=cliques, max_nodes=2_000_000)
 
@@ -37,20 +36,12 @@ class OptimalAllocator(Allocator):
     """Exact optimal spill-everywhere allocation (the paper's "Optimal")."""
 
     name = "Optimal"
-    version = "1"
-
-    def __init__(self, prefer_ilp: bool = True) -> None:
-        self.prefer_ilp = prefer_ilp
+    version = "2"
 
     def allocate(self, problem: AllocationProblem) -> AllocationResult:
-        """Solve the instance exactly with the preferred backend."""
-        allocated, _ = solve_optimal_allocation(
-            problem.graph,
-            problem.num_registers,
-            cliques=problem.cliques,
-            prefer_ilp=self.prefer_ilp,
-        )
-        backend = "scipy-milp" if (self.prefer_ilp and scipy_available()) else "branch-and-bound"
+        """Solve the instance exactly with the available backend."""
+        allocated, _ = solve_optimal_allocation(problem.graph, problem.num_registers, cliques=problem.cliques)
+        backend = "scipy-milp" if scipy_available() else "branch-and-bound"
         return self._result(problem, allocated, stats={"backend": backend})
 
 

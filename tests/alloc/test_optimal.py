@@ -120,11 +120,13 @@ def test_optimal_allocator_feasible_and_minimal(figure4_graph):
         assert result.spill_cost == pytest.approx(brute_force_optimal_cost(figure4_graph, registers))
 
 
-def test_optimal_prefers_ilp_but_can_use_bb(figure4_graph):
+def test_optimal_matches_branch_and_bound(figure4_graph):
     problem = make_problem(figure4_graph, 2)
-    via_ilp = OptimalAllocator(prefer_ilp=True).allocate(problem)
-    via_bb = OptimalAllocator(prefer_ilp=False).allocate(problem)
+    via_ilp = OptimalAllocator().allocate(problem)
+    via_bb = BranchAndBoundAllocator().allocate(problem)
+    _, bb_weight = solve_branch_and_bound(figure4_graph, 2, max_nodes=2_000_000)
     assert via_ilp.spill_cost == pytest.approx(via_bb.spill_cost)
+    assert via_ilp.spill_cost == pytest.approx(figure4_graph.total_weight() - bb_weight)
     assert via_bb.stats["backend"] == "branch-and-bound"
 
 
