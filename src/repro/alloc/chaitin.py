@@ -34,8 +34,7 @@ from typing import List, Optional, Tuple
 from repro.alloc.base import Allocator, register_allocator
 from repro.alloc.problem import AllocationProblem
 from repro.alloc.result import AllocationResult
-from repro.graphs.dense import bit_indices, dense_rows_of
-from repro.graphs.graph import Graph, Vertex
+from repro.graphs.graph import Graph, Vertex, bit_indices
 
 #: (vertices in graph order, their ``str`` names, their weights, the
 #: neighbour indices of each vertex) — what one GC run reads of the graph.
@@ -45,13 +44,8 @@ GraphIndex = Tuple[List[Vertex], List[str], List[float], List[List[int]]]
 def graph_index(graph: Graph) -> GraphIndex:
     """Index ``graph``'s vertices by position in :meth:`Graph.vertices`."""
     order = graph.vertices()
-    rows = dense_rows_of(graph)
-    if rows is not None:
-        # Bit ``j`` of a dense row is vertex ``order[j]``.
-        neighbors = [bit_indices(row) for row in rows]
-    else:
-        position = {v: i for i, v in enumerate(order)}
-        neighbors = [[position[u] for u in graph.neighbors(v)] for v in order]
+    # Bit ``j`` of an adjacency row is vertex ``order[j]``.
+    neighbors = [bit_indices(row) for row in graph.rows()]
     return order, [str(v) for v in order], [graph.weight(v) for v in order], neighbors
 
 

@@ -71,12 +71,12 @@ class RegisterLayers:
     Each allocatable register (the file truncated to the problem's ``R``)
     owns one layer, grown by :meth:`grow`: a maximum weighted stable set
     searched over the vertices *allowed* to join it — the same
-    candidate-mask Frank search as the unconstrained rounds, so the dense
-    and set-based kernels stay in lockstep.  A layer is sound by
-    construction: it is a stable set bound to one register, and aliasing
-    registers never touch interfering vertices.  Pre-colored variables are
-    candidates only for their register's layer (conservative: the register
-    order is the file order, not weight-driven).
+    candidate-mask Frank search as the unconstrained rounds.  A layer is
+    sound by construction: it is a stable set bound to one register, and
+    aliasing registers never touch interfering vertices.  Pre-colored
+    variables are candidates only for their register's layer
+    (conservative: the register order is the file order, not
+    weight-driven).
     """
 
     def __init__(self, problem: AllocationProblem, weights: Optional[Dict[Vertex, float]]) -> None:

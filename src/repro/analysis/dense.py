@@ -5,9 +5,9 @@ This module is the performance twin of :mod:`repro.analysis.liveness` and
 arbitrary-width Python integer over a shared :class:`~repro.analysis.vr_index.VRIndex`,
 the backward liveness fixpoint becomes a predecessor-driven worklist over
 masks, and interference construction ORs definition points against live
-masks — emitting the whole adjacency as
-:class:`~repro.graphs.dense.DenseGraph` bitmask rows in one pass, without
-materializing a single Python set.
+masks — emitting the whole adjacency as the bitmask rows of a
+:class:`~repro.graphs.graph.Graph` (:meth:`~repro.graphs.graph.Graph.from_rows`)
+in one pass, without materializing a single Python set.
 
 Equivalence guarantee
 ---------------------
@@ -32,8 +32,7 @@ from repro.analysis.live_ranges import LiveInterval
 from repro.analysis.liveness import LivenessInfo, validate_phi_edges
 from repro.analysis.spill_costs import spill_costs
 from repro.analysis.vr_index import VRIndex
-from repro.graphs.dense import DenseGraph, bit_indices
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph, bit_indices
 from repro.ir.function import Function
 from repro.ir.values import VirtualRegister
 
@@ -275,7 +274,7 @@ def build_interference_graph_dense(
     weights: Optional[Dict[VirtualRegister, float]] = None,
     include: Optional[Iterable[VirtualRegister]] = None,
 ) -> Graph:
-    """Build the weighted interference graph as a :class:`DenseGraph`.
+    """Build the weighted interference graph from its adjacency rows.
 
     Same vertices (register names, first-occurrence order), same edges and
     same weights as :func:`repro.analysis.interference.build_interference_graph`
@@ -288,8 +287,7 @@ def build_interference_graph_dense(
     (definition × live register) pair.
 
     ``include`` restricts the vertex set; that rarely-used form delegates to
-    the set-based reference builder (and therefore returns a plain
-    :class:`~repro.graphs.graph.Graph`).
+    the set-based reference builder.
     """
     if include is not None:
         from repro.analysis.interference import build_interference_graph
@@ -376,7 +374,7 @@ def build_interference_graph_dense(
     registers = index.registers
     names = [reg.name for reg in registers]
     get = weights.get
-    return DenseGraph.from_rows(
+    return Graph.from_rows(
         names, rows, [float(get(reg, 1.0)) for reg in registers]
     )
 

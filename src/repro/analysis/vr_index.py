@@ -28,7 +28,7 @@ from repro.errors import IRError
 from repro.ir.function import Function
 from repro.ir.values import VirtualRegister
 
-from repro.graphs.dense import bit_indices
+from repro.graphs.graph import bit_indices
 
 
 class VRIndex:

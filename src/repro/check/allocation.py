@@ -38,8 +38,7 @@ from repro.alloc.problem import AllocationProblem
 from repro.alloc.result import AllocationResult
 from repro.check.diagnostics import Diagnostic, Location, Severity
 from repro.check.registry import Checker, CheckRequest
-from repro.graphs.dense import DenseGraph, bit_indices
-from repro.graphs.graph import Graph, Vertex
+from repro.graphs.graph import Graph, Vertex, bit_indices
 from repro.ir.function import Function
 from repro.ir.instructions import Opcode
 from repro.ir.values import Constant, VirtualRegister
@@ -230,16 +229,12 @@ def assignment_diagnostics(
 
 
 def _clash_free(graph: Graph, allocated: Set[Vertex], assignment: Dict[Vertex, str]) -> bool:
-    """Whether the dense rows prove ``ALLOC007`` silent: one mask per register
-    holds its allocated holders, and no holder's row meets its own register's
-    mask.  ``False`` sends the caller to the edge-by-edge walk, which emits
-    the diagnostics: on a clash, on a set-backed graph, or when a holder is
-    not a vertex of the graph (the walk raises on it)."""
-    if not isinstance(graph, DenseGraph):
-        return False
-    rows = graph.dense_rows()
-    if rows is None:
-        return False
+    """Whether the adjacency rows prove ``ALLOC007`` silent: one mask per
+    register holds its allocated holders, and no holder's row meets its own
+    register's mask.  ``False`` sends the caller to the edge-by-edge walk,
+    which emits the diagnostics: on a clash, or when a holder is not a
+    vertex of the graph (the walk raises on it)."""
+    rows = graph.rows()
     holders: Dict[str, List[Vertex]] = {}
     for vertex in allocated:
         if vertex in assignment:

@@ -3,12 +3,10 @@
 This subpackage is the graph substrate the allocators operate on.  It
 provides:
 
-* :class:`~repro.graphs.graph.Graph` — a small, dependency-free weighted
-  undirected graph with adjacency sets;
-* :class:`~repro.graphs.dense.DenseGraph` — the adjacency-bitmask twin used
-  by the dense analysis/allocation kernels; a ``Graph`` subclass whose
-  chordality, clique and stable-set queries dispatch to mask arithmetic
-  with byte-identical results (:mod:`repro.graphs.dense`);
+* :class:`~repro.graphs.graph.Graph` — a dependency-free weighted
+  undirected graph whose adjacency is one bitmask row per vertex; every
+  kernel below works on the rows, and adjacency sets are built only when
+  :meth:`~repro.graphs.graph.Graph.neighbors` is read;
 * chordality machinery — maximum cardinality search, lexicographic BFS,
   perfect elimination orders and a chordality test
   (:mod:`repro.graphs.chordal`);
@@ -25,8 +23,7 @@ provides:
   digest, the store's cache key (:mod:`repro.graphs.io`).
 """
 
-from repro.graphs.graph import Graph
-from repro.graphs.dense import DenseGraph, bit_indices
+from repro.graphs.graph import Graph, bit_indices
 from repro.graphs.chordal import (
     is_chordal,
     is_perfect_elimination_order,
@@ -58,7 +55,6 @@ from repro.graphs.io import graph_to_dict, graph_from_dict, dump_graph, load_gra
 
 __all__ = [
     "Graph",
-    "DenseGraph",
     "bit_indices",
     "is_chordal",
     "is_perfect_elimination_order",

@@ -18,8 +18,7 @@ the chordality test.
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import GraphError, NotChordalError
 from repro.graphs.graph import Graph, Vertex
@@ -28,49 +27,56 @@ from repro.graphs.graph import Graph, Vertex
 def maximum_cardinality_search(graph: Graph, start: Optional[Vertex] = None) -> List[Vertex]:
     """Return the MCS visit order of ``graph``.
 
-    The search repeatedly picks an unvisited vertex with the largest number of
-    already-visited neighbours.  For chordal graphs, reversing this order
-    yields a perfect elimination order.
+    The search repeatedly picks the unvisited vertex with the most visited
+    neighbours, ties to the lowest insertion index, ``start`` first when
+    given.  For chordal graphs, reversing this order yields a perfect
+    elimination order.
 
-    The implementation uses a lazy max-heap keyed by the visited-neighbour
-    count, which keeps the complexity at ``O((|V|+|E|) log |V|)`` — effectively
-    linear for interference graphs.  A live
-    :class:`~repro.graphs.dense.DenseGraph` takes the bitmask kernel
-    (:func:`~repro.graphs.dense.dense_mcs`), which returns the identical
-    visit order without materializing adjacency sets.
+    It runs on the adjacency rows with bucket masks: ``buckets[c]`` is the
+    mask of unvisited vertices with ``c`` visited neighbours, so a visit
+    takes the lowest set bit of the highest non-empty bucket and then moves
+    the vertex's unvisited neighbours up one bucket with one AND/XOR per
+    bucket they occupy, from the top bucket down.
     """
-    if len(graph) == 0:
+    rows = graph.rows()
+    n = len(rows)
+    if n == 0:
         return []
-    from repro.graphs.dense import dense_mcs, dense_rows_of
-
-    if dense_rows_of(graph) is not None:
-        return dense_mcs(graph, start=start)
     if start is not None and start not in graph:
         raise GraphError(f"unknown start vertex {start!r}")
-
-    order: List[Vertex] = []
-    visited: Set[Vertex] = set()
-    count: Dict[Vertex, int] = {v: 0 for v in graph}
-    # Heap of (-count, tie, vertex); stale entries are skipped lazily.
-    tie = {v: i for i, v in enumerate(graph)}
-    heap: List[tuple] = []
-    if start is not None:
-        heapq.heappush(heap, (0, -1, start))
-    for v in graph:
-        heapq.heappush(heap, (0, tie[v], v))
-
-    while len(order) < len(graph):
-        while True:
-            neg, _, v = heapq.heappop(heap)
-            if v not in visited and -neg == count[v]:
-                break
-        visited.add(v)
-        order.append(v)
-        for u in graph.neighbors(v):
-            if u not in visited:
-                count[u] += 1
-                heapq.heappush(heap, (-count[u], tie[u], u))
-    return order
+    unvisited = (1 << n) - 1
+    buckets = [unvisited]
+    top = 0
+    first = None if start is None else graph.index_of(start)
+    order_out: List[int] = []
+    for _ in range(n):
+        if first is None:
+            bucket = buckets[top]
+            v = (bucket & -bucket).bit_length() - 1
+        else:
+            v, first = first, None  # every count is still 0: start is in buckets[0]
+        bit = 1 << v
+        buckets[top] ^= bit
+        unvisited ^= bit
+        order_out.append(v)
+        rising = rows[v] & unvisited
+        if rising:
+            if top + 1 == len(buckets):
+                buckets.append(0)
+            count = top
+            while rising:
+                moved = buckets[count] & rising
+                if moved:
+                    buckets[count] ^= moved
+                    buckets[count + 1] |= moved
+                    rising ^= moved
+                count -= 1
+            if buckets[top + 1]:
+                top += 1
+        while top and not buckets[top]:
+            top -= 1
+    order = graph.vertices()
+    return [order[i] for i in order_out]
 
 
 class _Block:
@@ -168,31 +174,44 @@ def lex_bfs(graph: Graph, start: Optional[Vertex] = None) -> List[Vertex]:
 def is_perfect_elimination_order(graph: Graph, order: Sequence[Vertex]) -> bool:
     """Check whether ``order`` is a perfect elimination order of ``graph``.
 
-    Uses the standard trick: for each vertex ``v`` it suffices to check that
-    the *earliest* later neighbour ``u`` of ``v`` is adjacent to every other
-    later neighbour of ``v`` (Golumbic 2004, Thm. 4.5), which is ``O(|V|+|E|)``
-    amortized instead of checking full cliques.  Live
-    :class:`~repro.graphs.dense.DenseGraph` inputs run the equivalent check
-    on bitmask rows.
+    For each vertex ``v`` it suffices to check that the *earliest* later
+    neighbour of ``v`` (its pivot) is adjacent to every other later
+    neighbour of ``v`` (Golumbic 2004, Thm. 4.5).  On the rows, the pivot is
+    found by binary search over the suffix masks of the order (the largest
+    position whose suffix still holds every later neighbour), and "every
+    other later neighbour is adjacent to the pivot" is one AND-NOT against
+    the pivot's row.  The suffix masks take about ``n²/8`` bytes for the
+    call only.
     """
-    from repro.graphs.dense import dense_is_peo, dense_rows_of
-
-    if dense_rows_of(graph) is not None:
-        return dense_is_peo(graph, order)
-    if set(order) != set(graph.vertices()) or len(order) != len(graph):
+    rows = graph.rows()
+    n = len(rows)
+    if len(order) != n:
         return False
-    position = {v: i for i, v in enumerate(order)}
-    for v in order:
-        later = [u for u in graph.neighbors(v) if position[u] > position[v]]
+    index = graph._index
+    try:
+        peo_bits = [index[v] for v in order]
+    except (KeyError, TypeError):
+        return False
+    if len(set(peo_bits)) != n:
+        return False
+    # suffix[p]: the vertices at positions >= p of the order.
+    suffix = [0] * (n + 1)
+    for p in range(n - 1, -1, -1):
+        suffix[p] = suffix[p + 1] | (1 << peo_bits[p])
+    for p, v in enumerate(peo_bits):
+        later = rows[v] & suffix[p + 1]
         if not later:
             continue
-        pivot = min(later, key=lambda u: position[u])
-        pivot_nbrs = graph.neighbors(pivot)
-        for u in later:
-            if u is pivot or u == pivot:
-                continue
-            if u not in pivot_nbrs:
-                return False
+        lo, hi = p + 1, n  # later <= suffix[lo]; not later <= suffix[hi]
+        while hi - lo > 1:
+            mid = (lo + hi) >> 1
+            if later & suffix[mid] == later:
+                lo = mid
+            else:
+                hi = mid
+        pivot = peo_bits[lo]
+        if (later ^ (1 << pivot)) & ~rows[pivot]:
+            return False
     return True
 
 

@@ -24,8 +24,9 @@ Clique = FrozenSet[Vertex]
 def maximal_cliques_chordal(graph: Graph, peo: Sequence[Vertex] | None = None) -> List[Clique]:
     """Enumerate the maximal cliques of a chordal graph.
 
-    For each vertex ``v`` in a PEO, ``{v} ∪ later-neighbours(v)`` is a clique;
-    the maximal cliques are exactly the candidates not strictly contained in
+    For each vertex ``v`` in a PEO, ``{v} ∪ later-neighbours(v)`` is a clique
+    (one AND of ``v``'s row with the mask of the vertices after it); the
+    maximal cliques are exactly the candidates not strictly contained in
     another candidate.  The containment filter below is quadratic in the
     number of candidates but linear in practice because each vertex belongs to
     few candidates.
@@ -34,23 +35,15 @@ def maximal_cliques_chordal(graph: Graph, peo: Sequence[Vertex] | None = None) -
         return []
     if peo is None:
         peo = list(reversed(maximum_cardinality_search(graph)))
-    from repro.graphs.dense import bit_indices, dense_chordal_clique_masks, dense_rows_of
-
-    if dense_rows_of(graph) is not None:
-        # Candidate generation on bitmask rows; the containment filter below
-        # is shared (the masks convert to the same vertex sets the set-based
-        # path builds, so the filtered list is identical).
-        order = graph.vertex_order()
-        candidates = [
-            {order[i] for i in bit_indices(mask)}
-            for mask in dense_chordal_clique_masks(graph, peo)
-        ]
-    else:
-        position = {v: i for i, v in enumerate(peo)}
-        candidates = []
-        for v in peo:
-            later = {u for u in graph.neighbors(v) if position[u] > position[v]}
-            candidates.append({v} | later)
+    rows = graph.rows()
+    index = graph._index
+    candidates: List[Set[Vertex]] = []
+    later = 0
+    for v in reversed(peo):
+        i = index[v]
+        candidates.append(set(graph.vertices_in((1 << i) | (rows[i] & later))))
+        later |= 1 << i
+    candidates.reverse()
     # Keep only candidates not strictly contained in another candidate.
     candidates.sort(key=len, reverse=True)
     maximal: List[Clique] = []

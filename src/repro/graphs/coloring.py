@@ -9,7 +9,7 @@ assignment and (b) verify that the allocated sub-graph is R-colorable.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import GraphError
 from repro.graphs.chordal import perfect_elimination_order
@@ -78,14 +78,29 @@ def restricted_coloring(
     """Tree-scan of ``graph[members]``: greedy along ``reversed(peo)``.
 
     With ``peo`` a PEO of ``graph`` this colours the induced subgraph with
-    exactly its clique number of colours.
+    exactly its clique number of colours.  One mask per colour holds the
+    members coloured with it so far; a member takes the lowest colour whose
+    mask misses its row.
     """
-    from repro.graphs.dense import dense_restricted_coloring, dense_rows_of
-
     keep = set(members)
-    if dense_rows_of(graph) is not None:
-        return dense_restricted_coloring(graph, peo, keep)
-    return _greedy_along(graph, (v for v in reversed(peo) if v in keep))
+    rows = graph.rows()
+    index = graph._index
+    classes: List[int] = []
+    coloring: Coloring = {}
+    for v in reversed(peo):
+        if v not in keep:
+            continue
+        i = index[v]
+        row = rows[i]
+        for color, mask in enumerate(classes):
+            if not row & mask:
+                classes[color] = mask | (1 << i)
+                break
+        else:
+            color = len(classes)
+            classes.append(1 << i)
+        coloring[v] = color
+    return coloring
 
 
 def restricted_clique_number(
@@ -94,19 +109,22 @@ def restricted_clique_number(
     """ω of ``graph[members]`` for a PEO ``peo`` of ``graph``.
 
     Every member with its later members in the order forms a clique, and
-    every maximal clique is one of these, so ω is the largest such set.
+    every maximal clique is one of these, so ω is the largest
+    ``1 + |row(v) & later members|``.
     """
-    from repro.graphs.dense import dense_restricted_clique_number, dense_rows_of
-
     keep = set(members)
-    if dense_rows_of(graph) is not None:
-        return dense_restricted_clique_number(graph, peo, keep)
-    later: Set[Vertex] = set()
+    rows = graph.rows()
+    index = graph._index
+    later = 0
     omega = 0
     for v in reversed(peo):
-        if v in keep:
-            omega = max(omega, 1 + len(graph.neighbors(v) & later))
-            later.add(v)
+        if v not in keep:
+            continue
+        i = index[v]
+        size = (rows[i] & later).bit_count() + 1
+        if size > omega:
+            omega = size
+        later |= 1 << i
     return omega
 
 

@@ -1,20 +1,59 @@
-"""A small weighted undirected graph.
+"""Weighted undirected interference graphs, stored as adjacency bitmask rows.
 
 The allocators in :mod:`repro.alloc` consume *interference graphs*: vertices
 are program variables, edges mean "simultaneously live somewhere", and the
-vertex weight is the estimated spill cost of the variable.  This module keeps
-the representation deliberately simple — adjacency sets over hashable vertex
-identifiers — so the graph algorithms stay readable and match the pseudo-code
-in the paper.
+vertex weight is the estimated spill cost of the variable.
+
+A :class:`Graph` keeps its vertices in insertion order and one arbitrary-width
+Python integer per vertex: bit ``j`` of row ``i`` is set iff vertex ``i`` and
+vertex ``j`` interfere.  The chordal kernels (maximum cardinality search, the
+PEO check, Frank's algorithm, clique enumeration, colouring by PEO
+restriction), the graph digest and the GC index work on the rows with mask
+arithmetic.  Adjacency *sets* exist only as a cache behind
+:meth:`Graph.neighbors`, built from a vertex's row the first time it is read,
+for the code that walks neighbourhoods (Bron–Kerbosch, greedy colouring,
+lex-BFS, the layered heuristic).
+
+Mutation contract: every mutation edits the rows in place.  ``add_vertex``
+appends a zero row, ``add_edge`` and ``remove_edge`` set or clear two bits,
+``remove_vertex`` drops its row and shifts the higher bits of every row down
+one place, and ``set_weight`` leaves the rows alone.  Structural mutations
+keep the cached adjacency sets consistent and drop the Frank setup cached for
+the last PEO; every mutation bumps :attr:`Graph.mutation_stamp`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import GraphError
 
+if TYPE_CHECKING:
+    from repro.graphs.stable_set import FrankOrder
+
 Vertex = Hashable
+
+#: Bit-extraction chunk width.  Extraction jumps to the lowest set bit,
+#: word-aligns, and peels one ``_CHUNK``-bit window at a time, so sparse
+#: high-offset masks (the common shape: SSA live ranges cluster) cost
+#: O(set bits) small-int operations plus a few big-int slices.
+_CHUNK = 512
+_CHUNK_MASK = (1 << _CHUNK) - 1
+
+
+def bit_indices(mask: int) -> List[int]:
+    """Return the indices of the set bits of ``mask``, ascending."""
+    out: List[int] = []
+    append = out.append
+    while mask:
+        base = ((mask & -mask).bit_length() - 1) & -_CHUNK
+        word = (mask >> base) & _CHUNK_MASK
+        mask ^= word << base
+        while word:
+            lsb = word & -word
+            append(base + lsb.bit_length() - 1)
+            word ^= lsb
+    return out
 
 
 def checked_weight(v: Vertex, weight: float) -> float:
@@ -36,6 +75,7 @@ class Graph:
 
     Vertices may be any hashable value (the library uses strings for variable
     names).  Self-loops are rejected; parallel edges collapse into one.
+    Vertex ``i`` (in insertion order) owns bit ``i`` of every adjacency row.
 
     Example
     -------
@@ -49,12 +89,20 @@ class Graph:
     5.0
     """
 
-    __slots__ = ("_adj", "_weights", "_mutations")
+    __slots__ = ("_order", "_index", "_rows", "_weights", "_sets", "_mutations", "_frank_order")
 
     def __init__(self) -> None:
-        self._adj: Dict[Vertex, Set[Vertex]] = {}
+        #: vertices in insertion order (bit index -> vertex) and the reverse map.
+        self._order: List[Vertex] = []
+        self._index: Dict[Vertex, int] = {}
+        #: ``_rows[i]``: the mask of vertex ``i``'s neighbours.
+        self._rows: List[int] = []
         self._weights: Dict[Vertex, float] = {}
+        #: adjacency sets of the vertices :meth:`neighbors` has read so far.
+        self._sets: Dict[Vertex, Set[Vertex]] = {}
         self._mutations: int = 0
+        #: (PEO contents, FrankOrder) of the last PEO Frank's walk used.
+        self._frank_order: Optional[Tuple[Tuple[Vertex, ...], "FrankOrder"]] = None
 
     @property
     def mutation_stamp(self) -> int:
@@ -70,6 +118,40 @@ class Graph:
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
+    @classmethod
+    def from_rows(
+        cls,
+        vertex_order: Sequence[Vertex],
+        rows: Sequence[int],
+        weights: Sequence[float],
+    ) -> "Graph":
+        """Adopt prebuilt adjacency rows; vertex ``i`` is ``vertex_order[i]``.
+
+        Rows must be symmetric with a zero diagonal: the builders guarantee
+        it, and the interference-graph lint (IGR001, IGR002) reports rows
+        that break it.
+        """
+        if not (len(vertex_order) == len(rows) == len(weights)):
+            raise GraphError(
+                f"mismatched graph inputs: {len(vertex_order)} vertices, "
+                f"{len(rows)} rows, {len(weights)} weights"
+            )
+        g = cls()
+        g._order = list(vertex_order)
+        g._index = {v: i for i, v in enumerate(g._order)}
+        if len(g._index) != len(g._order):
+            raise GraphError("duplicate vertices in graph order")
+        g._rows = list(rows)
+        for v, w in zip(g._order, weights):
+            g._weights[v] = checked_weight(v, w)
+        g._mutations = 1
+        return g
+
+    @classmethod
+    def from_graph(cls, graph: "Graph") -> "Graph":
+        """``graph.copy()``, under the name ``DenseGraph.from_graph`` callers use."""
+        return graph.copy()
+
     def add_vertex(self, v: Vertex, weight: float = 1.0) -> None:
         """Add vertex ``v`` with the given spill-cost ``weight``.
 
@@ -77,8 +159,11 @@ class Graph:
         Negative and NaN weights are rejected (see :func:`checked_weight`).
         """
         weight = checked_weight(v, weight)
-        if v not in self._adj:
-            self._adj[v] = set()
+        if v not in self._index:
+            self._index[v] = len(self._order)
+            self._order.append(v)
+            self._rows.append(0)
+            self._frank_order = None
         self._weights[v] = weight
         self._mutations += 1
 
@@ -86,31 +171,48 @@ class Graph:
         """Add the undirected edge ``(u, v)``; endpoints are created lazily."""
         if u == v:
             raise GraphError(f"self-loop on {u!r} is not allowed")
-        if u not in self._adj:
+        if u not in self._index:
             self.add_vertex(u)
-        if v not in self._adj:
+        if v not in self._index:
             self.add_vertex(v)
-        self._adj[u].add(v)
-        self._adj[v].add(u)
-        self._mutations += 1
+        i, j = self._index[u], self._index[v]
+        self._rows[i] |= 1 << j
+        self._rows[j] |= 1 << i
+        if u in self._sets:
+            self._sets[u].add(v)
+        if v in self._sets:
+            self._sets[v].add(u)
+        self._structure_changed()
 
     def remove_vertex(self, v: Vertex) -> None:
         """Remove ``v`` and all incident edges."""
-        if v not in self._adj:
+        i = self._index.get(v)
+        if i is None:
             raise GraphError(f"unknown vertex {v!r}")
-        for u in self._adj[v]:
-            self._adj[u].discard(v)
-        del self._adj[v]
-        del self._weights[v]
-        self._mutations += 1
+        order = self._order
+        for j in bit_indices(self._rows[i]):
+            if order[j] in self._sets:
+                self._sets[order[j]].discard(v)
+        self._sets.pop(v, None)
+        del order[i], self._rows[i], self._index[v], self._weights[v]
+        low = (1 << i) - 1
+        self._rows = [(row & low) | (row >> (i + 1) << i) for row in self._rows]
+        for k in range(i, len(order)):
+            self._index[order[k]] = k
+        self._structure_changed()
 
     def remove_edge(self, u: Vertex, v: Vertex) -> None:
         """Remove the edge ``(u, v)`` if present."""
-        if u not in self._adj or v not in self._adj:
+        i, j = self._index.get(u), self._index.get(v)
+        if i is None or j is None:
             raise GraphError(f"unknown endpoint in edge ({u!r}, {v!r})")
-        self._adj[u].discard(v)
-        self._adj[v].discard(u)
-        self._mutations += 1
+        self._rows[i] &= ~(1 << j)
+        self._rows[j] &= ~(1 << i)
+        if u in self._sets:
+            self._sets[u].discard(v)
+        if v in self._sets:
+            self._sets[v].discard(u)
+        self._structure_changed()
 
     def set_weight(self, v: Vertex, weight: float) -> None:
         """Update the weight of an existing vertex."""
@@ -119,49 +221,66 @@ class Graph:
         self._weights[v] = checked_weight(v, weight)
         self._mutations += 1
 
+    def _structure_changed(self) -> None:
+        """Bump the stamp and drop the Frank setup built for the old rows."""
+        self._mutations += 1
+        self._frank_order = None
+
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
     def __contains__(self, v: Vertex) -> bool:
-        return v in self._adj
+        return v in self._index
 
     def __len__(self) -> int:
-        return len(self._adj)
+        return len(self._order)
 
     def __iter__(self) -> Iterator[Vertex]:
-        return iter(self._adj)
+        return iter(self._order)
 
     def vertices(self) -> List[Vertex]:
         """Return the vertices in insertion order."""
-        return list(self._adj)
+        return list(self._order)
 
     def edges(self) -> List[Tuple[Vertex, Vertex]]:
-        """Return each undirected edge exactly once."""
-        seen: Set[Tuple[int, int]] = set()
-        result: List[Tuple[Vertex, Vertex]] = []
-        index = {v: i for i, v in enumerate(self._adj)}
-        for u in self._adj:
-            for v in self._adj[u]:
-                key = (index[u], index[v]) if index[u] < index[v] else (index[v], index[u])
-                if key not in seen:
-                    seen.add(key)
-                    result.append((u, v) if index[u] < index[v] else (v, u))
-        return result
+        """Return each undirected edge once, ``(u, v)`` with ``u`` inserted
+        first, in row order."""
+        order = self._order
+        out: List[Tuple[Vertex, Vertex]] = []
+        for i, row in enumerate(self._rows):
+            high = row >> (i + 1)
+            if high:
+                u = order[i]
+                out.extend((u, order[i + 1 + j]) for j in bit_indices(high))
+        return out
 
     def num_edges(self) -> int:
         """Return the number of undirected edges."""
-        return sum(len(nbrs) for nbrs in self._adj.values()) // 2
+        return sum(row.bit_count() for row in self._rows) // 2
 
     def neighbors(self, v: Vertex) -> Set[Vertex]:
-        """Return the adjacency set of ``v`` (do not mutate it)."""
+        """Return the adjacency set of ``v`` (do not mutate it).
+
+        The set is built from ``v``'s row on first read and cached; its
+        iteration order is the set's hash order.
+        """
         try:
-            return self._adj[v]
+            return self._sets[v]
         except KeyError:
-            raise GraphError(f"unknown vertex {v!r}") from None
+            return self._neighbor_set(v)
+
+    def _neighbor_set(self, v: Vertex) -> Set[Vertex]:
+        """Build and cache the adjacency set of ``v`` from its row."""
+        i = self._index.get(v)
+        if i is None:
+            raise GraphError(f"unknown vertex {v!r}")
+        order = self._order
+        built = self._sets[v] = {order[j] for j in bit_indices(self._rows[i])}
+        return built
 
     def degree(self, v: Vertex) -> int:
         """Return the number of neighbours of ``v``."""
-        return len(self.neighbors(v))
+        return self._rows[self.index_of(v)].bit_count()
 
     def weight(self, v: Vertex) -> float:
         """Return the spill-cost weight of ``v``."""
@@ -182,52 +301,8 @@ class Graph:
 
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
         """Return whether ``u`` and ``v`` interfere."""
-        return u in self._adj and v in self._adj[u]
-
-    # ------------------------------------------------------------------ #
-    # derived graphs
-    # ------------------------------------------------------------------ #
-    def copy(self) -> "Graph":
-        """Return a deep copy of the graph."""
-        g = Graph()
-        for v, w in self._weights.items():
-            g.add_vertex(v, w)
-        for u in self._adj:
-            for v in self._adj[u]:
-                g._adj[u].add(v)
-        return g
-
-    def subgraph(self, keep: Iterable[Vertex]) -> "Graph":
-        """Return the induced subgraph on ``keep`` (unknown vertices ignored)."""
-        keep_set = {v for v in keep if v in self._adj}
-        g = Graph()
-        for v in self._adj:
-            if v in keep_set:
-                g.add_vertex(v, self._weights[v])
-        for v in g.vertices():
-            for u in self._adj[v]:
-                if u in keep_set:
-                    g._adj[v].add(u)
-        return g
-
-    def without(self, drop: Iterable[Vertex]) -> "Graph":
-        """Return the induced subgraph with ``drop`` removed."""
-        drop_set = set(drop)
-        return self.subgraph(v for v in self._adj if v not in drop_set)
-
-    def induced_view(self, keep: Iterable[Vertex]) -> "GraphView":
-        """Return a read-only *view* of the induced subgraph on ``keep``.
-
-        Unlike :meth:`subgraph`, no adjacency sets are copied: the view keeps
-        a reference to this graph plus the membership mask and filters lazily.
-        Building a view is ``O(|keep|)``; every query pays at most the degree
-        of the queried vertex.  This is what lets the layered allocators run a
-        round over the remaining candidates without materializing a fresh
-        graph per round.  Unknown vertices in ``keep`` are ignored, matching
-        :meth:`subgraph`.  The view reflects later mutations of the base
-        graph; do not mutate the base while holding a view.
-        """
-        return GraphView(self, keep)
+        i, j = self._index.get(u), self._index.get(v)
+        return i is not None and j is not None and bool(self._rows[i] >> j & 1)
 
     def is_clique(self, vertices: Iterable[Vertex]) -> bool:
         """Return whether ``vertices`` are pairwise adjacent."""
@@ -237,6 +312,62 @@ class Graph:
                 if not self.has_edge(u, v):
                     return False
         return True
+
+    # ------------------------------------------------------------------ #
+    # rows and masks
+    # ------------------------------------------------------------------ #
+    def rows(self) -> List[int]:
+        """The adjacency rows, by vertex insertion index (treat as read-only)."""
+        return self._rows
+
+    def index_of(self, v: Vertex) -> int:
+        """Bit index of vertex ``v``."""
+        try:
+            return self._index[v]
+        except KeyError:
+            raise GraphError(f"unknown vertex {v!r}") from None
+
+    def mask_of(self, vertices: Iterable[Vertex]) -> int:
+        """Membership mask of ``vertices`` (unknown vertices ignored)."""
+        index = self._index
+        m = 0
+        for v in vertices:
+            i = index.get(v)
+            if i is not None:
+                m |= 1 << i
+        return m
+
+    def vertices_in(self, mask: int) -> List[Vertex]:
+        """Vertices whose bits are set in ``mask``, in insertion order."""
+        order = self._order
+        return [order[i] for i in bit_indices(mask)]
+
+    # ------------------------------------------------------------------ #
+    # derived graphs
+    # ------------------------------------------------------------------ #
+    def copy(self) -> "Graph":
+        """Return an independent copy of the graph."""
+        return Graph.from_rows(self._order, self._rows, [self._weights[v] for v in self._order])
+
+    def subgraph(self, keep: Iterable[Vertex]) -> "Graph":
+        """Return the induced subgraph on ``keep`` (unknown vertices ignored),
+        its vertices in this graph's order."""
+        mask = self.mask_of(keep)
+        kept = bit_indices(mask)
+        position = {old: new for new, old in enumerate(kept)}
+        rows = []
+        for i in kept:
+            row = 0
+            for j in bit_indices(self._rows[i] & mask):
+                row |= 1 << position[j]
+            rows.append(row)
+        vertices = [self._order[i] for i in kept]
+        return Graph.from_rows(vertices, rows, [self._weights[v] for v in vertices])
+
+    def without(self, drop: Iterable[Vertex]) -> "Graph":
+        """Return the induced subgraph with ``drop`` removed."""
+        drop_set = set(drop)
+        return self.subgraph(v for v in self._order if v not in drop_set)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(|V|={len(self)}, |E|={self.num_edges()})"
@@ -268,90 +399,3 @@ class Graph:
             else:
                 g.set_weight(v, w)
         return g
-
-
-class GraphView:
-    """A read-only induced-subgraph view sharing the base graph's storage.
-
-    Implements the query surface of :class:`Graph` (membership, iteration,
-    ``neighbors``, weights, ``has_edge``, ...) restricted to a vertex mask,
-    so graph algorithms written against :class:`Graph` — MCS, lex-BFS, PEO
-    validation, Frank's algorithm — run on the view unchanged and without
-    the ``O(|V|+|E|)`` copy that :meth:`Graph.subgraph` pays.
-
-    ``neighbors`` builds the filtered adjacency set on demand (``O(deg)``);
-    callers that only need membership tests should prefer ``has_edge``.
-    """
-
-    __slots__ = ("_base", "_keep")
-
-    def __init__(self, base: Graph, keep: Iterable[Vertex]) -> None:
-        self._base = base
-        self._keep: Set[Vertex] = {v for v in keep if v in base}
-
-    # -- queries (mirror Graph's read API) ----------------------------- #
-    def __contains__(self, v: Vertex) -> bool:
-        return v in self._keep
-
-    def __len__(self) -> int:
-        return len(self._keep)
-
-    def __iter__(self) -> Iterator[Vertex]:
-        # Preserve the base graph's insertion order, like Graph.subgraph.
-        return (v for v in self._base if v in self._keep)
-
-    def vertices(self) -> List[Vertex]:
-        """Return the kept vertices in base-graph insertion order."""
-        return [v for v in self._base if v in self._keep]
-
-    def neighbors(self, v: Vertex) -> Set[Vertex]:
-        """Return the kept neighbours of ``v`` (a fresh set, O(deg))."""
-        if v not in self._keep:
-            raise GraphError(f"unknown vertex {v!r}")
-        return self._base.neighbors(v) & self._keep
-
-    def degree(self, v: Vertex) -> int:
-        return len(self.neighbors(v))
-
-    def weight(self, v: Vertex) -> float:
-        if v not in self._keep:
-            raise GraphError(f"unknown vertex {v!r}")
-        return self._base.weight(v)
-
-    def weights(self) -> Dict[Vertex, float]:
-        return {v: self._base.weight(v) for v in self.vertices()}
-
-    def total_weight(self, vertices: Iterable[Vertex] | None = None) -> float:
-        if vertices is None:
-            vertices = self._keep
-        return sum(self.weight(v) for v in vertices)
-
-    def has_edge(self, u: Vertex, v: Vertex) -> bool:
-        return u in self._keep and v in self._keep and self._base.has_edge(u, v)
-
-    def num_edges(self) -> int:
-        return sum(len(self.neighbors(v)) for v in self._keep) // 2
-
-    def edges(self) -> List[Tuple[Vertex, Vertex]]:
-        index = {v: i for i, v in enumerate(self.vertices())}
-        result: List[Tuple[Vertex, Vertex]] = []
-        for u in self.vertices():
-            for v in self.neighbors(u):
-                if index[u] < index[v]:
-                    result.append((u, v))
-        return result
-
-    def is_clique(self, vertices: Iterable[Vertex]) -> bool:
-        vs = list(vertices)
-        for i, u in enumerate(vs):
-            for v in vs[i + 1 :]:
-                if not self.has_edge(u, v):
-                    return False
-        return True
-
-    def materialize(self) -> Graph:
-        """Copy the view into a standalone :class:`Graph`."""
-        return self._base.subgraph(self._keep)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"GraphView(|V|={len(self)} of {len(self._base)})"

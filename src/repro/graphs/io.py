@@ -23,8 +23,7 @@ from pathlib import Path
 from typing import Any, Dict, IO, Iterator, List, Union
 
 from repro.errors import GraphError
-from repro.graphs.dense import bit_indices, dense_rows_of
-from repro.graphs.graph import Graph, Vertex
+from repro.graphs.graph import Graph, bit_indices
 
 FORMAT_VERSION = 1
 
@@ -40,20 +39,54 @@ def graph_to_dict(graph: Graph, name: str | None = None) -> Dict[str, Any]:
     }
 
 
-def graph_from_dict(data: Dict[str, Any]) -> Graph:
-    """Reconstruct a :class:`Graph` from :func:`graph_to_dict` output."""
-    if data.get("format") != "repro-interference-graph":
+def graph_from_dict(data: Any) -> Graph:
+    """Reconstruct a :class:`Graph` from :func:`graph_to_dict` output.
+
+    Every vertex entry is an object with a string ``id``, unique in the
+    document, and an optional numeric ``weight`` (default 1.0); every edge
+    is a pair of listed ids.  Anything else raises :class:`GraphError`
+    naming the offending entry.
+    """
+    if not isinstance(data, dict) or data.get("format") != "repro-interference-graph":
         raise GraphError("not a repro interference graph document")
     if data.get("version") != FORMAT_VERSION:
         raise GraphError(f"unsupported format version {data.get('version')!r}")
-    graph = Graph()
-    for entry in data.get("vertices", []):
-        graph.add_vertex(entry["id"], float(entry.get("weight", 1.0)))
-    for u, v in data.get("edges", []):
-        if u not in graph or v not in graph:
+    entries = data.get("vertices", [])
+    edges = data.get("edges", [])
+    for field, value in (("vertices", entries), ("edges", edges)):
+        if not isinstance(value, list):
+            raise GraphError(f'graph field "{field}" must be a list, got {type(value).__name__}')
+    index: Dict[str, int] = {}
+    weights: List[float] = []
+    for position, entry in enumerate(entries):
+        if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
+            raise GraphError(f'vertex entry {position} must be an object with a string "id", got {entry!r}')
+        v = entry["id"]
+        if v in index:
+            raise GraphError(f"vertex entry {position}: duplicate id {v!r}")
+        weight = entry.get("weight", 1.0)
+        try:
+            number = float(weight) if isinstance(weight, (int, float)) and not isinstance(weight, bool) else None
+        except OverflowError:  # an integer literal no float holds
+            number = None
+        if number is None:
+            raise GraphError(f"vertex entry {position} ({v!r}): weight must be a number, got {weight!r}")
+        weights.append(number)  # from_rows rejects negative and NaN weights
+        index[v] = position
+    rows = [0] * len(index)
+    for position, edge in enumerate(edges):
+        if not isinstance(edge, list) or len(edge) != 2:
+            raise GraphError(f"edge entry {position} must be a pair of vertex ids, got {edge!r}")
+        u, v = edge
+        i = index.get(u) if isinstance(u, str) else None
+        j = index.get(v) if isinstance(v, str) else None
+        if i is None or j is None:
             raise GraphError(f"edge ({u!r}, {v!r}) references unknown vertex")
-        graph.add_edge(u, v)
-    return graph
+        if i == j:
+            raise GraphError(f"edge ({u!r}, {v!r}): self-loop on {u!r} is not allowed")
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return Graph.from_rows(list(index), rows, weights)
 
 
 # ---------------------------------------------------------------------- #
@@ -97,7 +130,7 @@ def graph_digest(graph: Graph) -> str:
 
     hasher = hashlib.sha256(b'{"edges":[')
     separator = ""
-    for r, higher in enumerate(_higher_ranked_neighbours(graph, vertices, by_rank, rank)):
+    for r, higher in enumerate(_higher_ranked_neighbours(graph, by_rank, rank)):
         if higher:  # the edges [a,b],[a,c],... of vertex a, JSON-encoded
             head = "[" + quoted[r] + ","
             row = head + ("]," + head).join(map(quoted.__getitem__, higher)) + "]"
@@ -108,25 +141,17 @@ def graph_digest(graph: Graph) -> str:
     return hasher.hexdigest()
 
 
-def _higher_ranked_neighbours(
-    graph: Graph, vertices: List[Vertex], by_rank: List[int], rank: List[int]
-) -> Iterator[List[int]]:
+def _higher_ranked_neighbours(graph: Graph, by_rank: List[int], rank: List[int]) -> Iterator[List[int]]:
     """For each vertex in rank order, the ranks of its higher-ranked neighbours, ascending.
 
-    A live :class:`~repro.graphs.dense.DenseGraph` reads them off its
-    adjacency rows, masked by the vertices not yet emitted; any other graph
-    filters its adjacency sets.
+    They are read off the adjacency rows, masked by the vertices not yet
+    emitted.
     """
-    rows = dense_rows_of(graph)
-    if rows is not None:
-        pending = (1 << len(rows)) - 1
-        for i in by_rank:
-            pending ^= 1 << i
-            yield sorted([rank[j] for j in bit_indices(rows[i] & pending)])
-    else:
-        rank_of = dict(zip(vertices, rank))
-        for r, i in enumerate(by_rank):
-            yield sorted([s for s in map(rank_of.__getitem__, graph.neighbors(vertices[i])) if s > r])
+    rows = graph.rows()
+    pending = (1 << len(rows)) - 1
+    for i in by_rank:
+        pending ^= 1 << i
+        yield sorted([rank[j] for j in bit_indices(rows[i] & pending)])
 
 
 # ---------------------------------------------------------------------- #
@@ -148,6 +173,14 @@ def dump_graph(graph: Graph, path: Union[str, Path], name: str | None = None) ->
 
 
 def load_graph(path: Union[str, Path]) -> Graph:
-    """Load a graph previously written with :func:`dump_graph`."""
-    with _open_text(Path(path), "r") as handle:
-        return graph_from_dict(json.load(handle))
+    """Load a graph previously written with :func:`dump_graph`.
+
+    A file that does not decode as (gzipped) UTF-8 JSON raises
+    :class:`GraphError`, as a malformed document does.
+    """
+    try:
+        with _open_text(Path(path), "r") as handle:
+            data = json.load(handle)
+    except (ValueError, EOFError, OSError) as error:
+        raise GraphError(f"not a graph JSON file: {error}") from None
+    return graph_from_dict(data)

@@ -18,11 +18,11 @@ Three implementations are provided:
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set
 
 from repro.errors import GraphError
 from repro.graphs.chordal import perfect_elimination_order
-from repro.graphs.graph import Graph, Vertex
+from repro.graphs.graph import Graph, Vertex, bit_indices
 
 
 def is_stable_set(graph: Graph, vertices: Iterable[Vertex]) -> bool:
@@ -33,6 +33,52 @@ def is_stable_set(graph: Graph, vertices: Iterable[Vertex]) -> bool:
             if graph.has_edge(u, v):
                 return False
     return True
+
+
+class FrankOrder(NamedTuple):
+    """The PEO-derived half of Frank's walk on one :class:`Graph`.
+
+    It depends only on the graph's rows and the PEO's contents, so
+    :func:`frank_order` builds it once per (graph, PEO) and every layer —
+    and, through the problem's shared PEO, every register count of a
+    sweep — reuses it.
+    """
+
+    #: bit indices of the PEO's vertices, in PEO order (vertices the graph
+    #: does not hold are skipped).
+    bits: List[int]
+    #: mask of every vertex the PEO lists.
+    covered: int
+    #: per bit index: the vertex's neighbours that come later in the PEO.
+    later_neighbours: List[int]
+
+
+def frank_order(graph: Graph, peo: Sequence[Vertex]) -> FrankOrder:
+    """``graph``'s :class:`FrankOrder` for ``peo``, cached on the graph.
+
+    The cache is keyed by the PEO's contents, not by the object: a PEO
+    with other contents (a different list, or the same list mutated) gets
+    its own setup, never a stale one.  A structural mutation of the graph
+    drops it.
+    """
+    key = tuple(peo)
+    cached = graph._frank_order
+    if cached is None or cached[0] != key:
+        cached = graph._frank_order = (key, build_frank_order(graph, key))
+    return cached[1]
+
+
+def build_frank_order(graph: Graph, peo: Sequence[Vertex]) -> FrankOrder:
+    """Build the :class:`FrankOrder` of ``peo`` (one reverse walk)."""
+    rows = graph.rows()
+    index = graph._index
+    bits = [b for b in (index.get(v) for v in peo) if b is not None]
+    later_neighbours = [0] * len(rows)
+    later = 0
+    for b in reversed(bits):
+        later_neighbours[b] = rows[b] & later
+        later |= 1 << b
+    return FrankOrder(bits, later, later_neighbours)
 
 
 def maximum_weighted_stable_set(
@@ -60,80 +106,80 @@ def maximum_weighted_stable_set(
     reduce the spill cost.
 
     ``candidates`` restricts the search to the induced subgraph on a vertex
-    subset *without materializing it*: the PEO walk and the neighbour updates
-    simply skip non-candidates.  Because an induced subgraph of a chordal
-    graph is chordal and the restriction of a PEO is still a PEO, a single
-    ``peo`` of the full graph can be reused across many candidate masks —
-    this is what keeps the layered allocator within the paper's
-    ``O(R·(|V|+|E|))`` bound.  Entries of ``candidates`` absent from the
-    graph are ignored (mirroring :meth:`Graph.subgraph`); ``weights`` only
-    needs to cover the candidates.
+    subset *without materializing it*: the candidates become a mask, and the
+    PEO walk and the neighbour updates skip non-candidates.  Because an
+    induced subgraph of a chordal graph is chordal and the restriction of a
+    PEO is still a PEO, a single ``peo`` of the full graph can be reused
+    across many candidate masks — this is what keeps the layered allocator
+    within the paper's ``O(R·(|V|+|E|))`` bound.  The PEO's setup (its bit
+    list, coverage mask and later-neighbour masks) is cached on the graph
+    per PEO (:func:`frank_order`).  Entries of ``candidates`` absent from
+    the graph are ignored (mirroring :meth:`Graph.subgraph`); ``weights``
+    only needs to cover the candidates.  Without a ``peo`` the search takes
+    the PEO of the candidates' induced subgraph.
 
     Raises :class:`~repro.errors.NotChordalError` when the graph is not
     chordal and no valid ``peo`` is supplied.
     """
     if len(graph) == 0:
         return []
-
-    from repro.graphs.dense import dense_frank, dense_rows_of
-
-    if dense_rows_of(graph) is not None:
-        # Bitmask fast path: identical marking order, residual updates and
-        # reverse-marking selection, so the result (and its order) matches
-        # the set-based walk below exactly.  The candidates become a mask
-        # directly, the PEO setup is cached per (graph, PEO) and missing
-        # weights are read from the graph.
-        mask = (1 << len(graph)) - 1 if candidates is None else graph.mask_of(candidates)
-        if not mask:
-            return []
-        if peo is None:
-            base = graph if mask.bit_count() == len(graph) else graph.induced_view(graph.vertices_in(mask))
-            peo = perfect_elimination_order(base)
-        return dense_frank(graph, weights, peo, mask)
-
-    if candidates is None:
-        cand: Set[Vertex] = set(graph.vertices())
-    else:
-        cand = {v for v in candidates if v in graph}
-        if not cand:
-            return []
+    candidates_mask = (1 << len(graph)) - 1 if candidates is None else graph.mask_of(candidates)
+    if not candidates_mask:
+        return []
     if peo is None:
-        base = graph if len(cand) == len(graph) else graph.induced_view(cand)
-        peo = perfect_elimination_order(base)
+        whole = candidates_mask.bit_count() == len(graph)
+        peo = perfect_elimination_order(graph if whole else graph.subgraph(graph.vertices_in(candidates_mask)))
+    rows = graph.rows()
+    order = graph._order
+    setup = frank_order(graph, peo)
     if weights is None:
-        weights = {v: graph.weight(v) for v in cand}
-    else:
-        missing = [v for v in cand if v not in weights]
-        if missing:
-            raise GraphError(f"weights missing for vertices: {missing!r}")
+        weights = graph._weights
 
-    position: Dict[Vertex, int] = {}
-    for v in peo:
-        if v in cand:
-            position[v] = len(position)
-    if len(position) != len(cand):
-        absent = [v for v in cand if v not in position]
-        raise GraphError(f"peo missing candidate vertices: {absent!r}")
+    residual = [0.0] * len(rows)
+    missing_weights: List[Vertex] = []
+    for i in bit_indices(candidates_mask):
+        try:
+            residual[i] = float(weights[order[i]])
+        except KeyError:
+            missing_weights.append(order[i])
+    if missing_weights:
+        raise GraphError(f"weights missing for vertices: {missing_weights!r}")
+    missing = candidates_mask & ~setup.covered
+    if missing:
+        raise GraphError(f"peo missing candidate vertices: {graph.vertices_in(missing)!r}")
 
-    residual: Dict[Vertex, float] = {v: float(weights[v]) for v in cand}
-    marked: List[Vertex] = []
-    for v in peo:
-        if v not in cand or residual[v] <= 0:
+    # Marking phase: vertices with positive residual, in PEO order; each
+    # marked vertex's residual is subtracted (clamped at zero) from its
+    # not-yet-processed candidate neighbours.  Non-candidates keep residual
+    # zero, so the positivity test also skips them.  ``positive`` prunes
+    # neighbour extraction to vertices whose residual can still change: a
+    # residual at zero stays at zero under the max(0, r - amount) update.
+    later_neighbours = setup.later_neighbours
+    marked: List[int] = []
+    positive = candidates_mask
+    for v in setup.bits:
+        amount = residual[v]
+        if amount <= 0:
             continue
         marked.append(v)
-        amount = residual[v]
-        pos_v = position[v]
-        for u in graph.neighbors(v):
-            if u in cand and position[u] > pos_v:
-                residual[u] = max(0.0, residual[u] - amount)
+        for u in bit_indices(later_neighbours[v] & positive):
+            x = residual[u] - amount
+            if x > 0.0:
+                residual[u] = x
+            else:
+                residual[u] = 0.0
+                positive ^= 1 << u
         residual[v] = 0.0
+        positive &= ~(1 << v)
 
+    # Selection phase: reverse marking order, keep what is non-adjacent to
+    # the kept set.
     chosen: List[Vertex] = []
-    chosen_set: Set[Vertex] = set()
+    chosen_mask = 0
     for v in reversed(marked):
-        if not (graph.neighbors(v) & chosen_set):
-            chosen.append(v)
-            chosen_set.add(v)
+        if not (rows[v] & chosen_mask):
+            chosen.append(order[v])
+            chosen_mask |= 1 << v
     return chosen
 
 

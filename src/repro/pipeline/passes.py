@@ -266,10 +266,8 @@ class LivenessPass(Pass):
 class InterferencePass(Pass):
     """Build the weighted interference graph and the live intervals.
 
-    The graph is built as :class:`~repro.graphs.dense.DenseGraph` bitmask
-    rows (the set-based reference's vertices, edges and weights; allocator
-    and digest consumers dispatch on the representation transparently) from
-    the liveness stage's dense masks.  A context whose liveness carries no
+    The graph's bitmask rows (the set-based reference's vertices, edges and
+    weights) are built from the liveness stage's dense masks.  A context whose liveness carries no
     masks (one a caller built by hand) has them computed here.
     """
 

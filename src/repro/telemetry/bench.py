@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -73,6 +74,26 @@ def latest_entry(path: str) -> Dict[str, Any]:
     return series[-1]
 
 
+def working_tree_rev(cwd: Optional[str] = None) -> str:
+    """The revision a bench run measured, for its history entry.
+
+    :func:`~repro.store.base.current_git_rev` of ``cwd`` (the process cwd
+    by default), with ``-dirty`` appended when tracked files differ from
+    HEAD, so an entry measured on an uncommitted change does not name its
+    parent; ``"unknown"`` outside git.
+    """
+    rev = current_git_rev(cwd)
+    if rev == "unknown":
+        return rev
+    try:
+        diff = subprocess.run(
+            ["git", "diff", "--quiet", "HEAD", "--"], cwd=cwd, capture_output=True, timeout=5
+        )
+    except (OSError, subprocess.SubprocessError):
+        return rev
+    return f"{rev}-dirty" if diff.returncode == 1 else rev
+
+
 def make_entry(
     payload: Dict[str, Any],
     recorded_at: Optional[str] = None,
@@ -81,7 +102,7 @@ def make_entry(
     """Build a dated history entry around a bench payload."""
     return {
         "recorded_at": recorded_at if recorded_at is not None else utc_now_iso(),
-        "git_rev": git_rev if git_rev is not None else current_git_rev(),
+        "git_rev": git_rev if git_rev is not None else working_tree_rev(),
         "payload": payload,
     }
 

@@ -4,9 +4,12 @@
 ``ChaitinBriggsAllocator.allocate`` verbatim: it picks every simplify and
 spill vertex with a ``min`` over all remaining vertices.  The heap-driven
 allocator must return the same spill set, spill cost and stats on the
-shipped corpora and on random general graphs — set-backed and dense, with
-generic, equal, zero and infinite weights — so stored GC cells (version
-"1") stay valid.
+shipped corpora and on random general graphs — built edge by edge
+("sets", the ids of the class such graphs once were) and adopted whole by
+``Graph.from_rows`` ("dense"), with generic, equal, zero and infinite
+weights — so stored GC cells (version "1") stay valid.  The scan
+formulation reads the graph through its adjacency sets, the heap-driven
+one through its rows.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import pytest
 from repro.alloc.chaitin import ChaitinBriggsAllocator
 from repro.alloc.problem import AllocationProblem
 from repro.alloc.result import AllocationResult
-from repro.graphs.dense import DenseGraph
 from repro.graphs.graph import Graph, Vertex
 from repro.workloads.corpus import build_corpus
 
@@ -115,7 +117,6 @@ def test_corpus_matches_the_scan_formulation(suite):
     corpus = build_corpus(suite, seed=7, scale=0.1)
     assert len(corpus) >= 9
     for problem in corpus.problems:
-        assert isinstance(problem.graph, DenseGraph)
         for registers in CORPUS_REGISTERS:
             _assert_same(problem.with_registers(registers))
 
@@ -152,7 +153,7 @@ def test_random_graphs_match_the_scan_formulation(mode, dense):
     for case in range(RANDOM_GRAPHS_PER_MODE):
         graph = _random_graph(rng, mode)
         if dense:
-            graph = DenseGraph.from_graph(graph)
+            graph = graph.copy()
         problem = AllocationProblem(graph=graph, num_registers=0, name=f"{mode}-{case}")
         for registers in RANDOM_REGISTERS:
             _assert_same(problem.with_registers(registers))

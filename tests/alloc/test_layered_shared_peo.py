@@ -239,34 +239,60 @@ def test_pipeline_runs_one_mcs_and_never_materialises_sets(monkeypatch):
     assigns and verifies by restricting it — no second MCS, no subgraph copy,
     no adjacency sets built from the bitmask rows."""
     from repro.graphs import chordal
-    from repro.graphs.dense import DenseGraph
     from repro.pipeline import Pipeline
     from repro.workloads.programs import GeneratorProfile, generate_function
 
     profile = GeneratorProfile(statements=240, accumulators=20, loop_depth=4)
     function = generate_function("count240", profile, rng=random.Random(240))
     mcs = count_calls(monkeypatch, chordal, "maximum_cardinality_search")
-    calls = {"subgraph": 0, "materialize": 0}
-    for cls in (Graph, DenseGraph):
-        original_subgraph = cls.subgraph
-
-        def counting_subgraph(self, keep, _original=original_subgraph):
-            calls["subgraph"] += 1
-            return _original(self, keep)
-
-        monkeypatch.setattr(cls, "subgraph", counting_subgraph)
-    original_materialize = DenseGraph._materialize
-
-    def counting_materialize(self):
-        calls["materialize"] += 1
-        return original_materialize(self)
-
-    monkeypatch.setattr(DenseGraph, "_materialize", counting_materialize)
+    calls = _count_graph_work(monkeypatch)
 
     context = Pipeline.from_spec("NL", target="st231", registers=8).run(function)
-    assert isinstance(context.graph, DenseGraph)
     assert context.problem.max_pressure > 8  # real spilling work
     assert context.stage_stats["assign"]["assigned"] is True
     assert context.stage_stats["verify"]["assignment_checked"] is True
     assert mcs["n"] == 1
-    assert calls == {"subgraph": 0, "materialize": 0}
+    assert calls == {"subgraph": 0, "sets": 0}
+
+
+def _count_graph_work(monkeypatch):
+    """Count ``Graph.subgraph`` copies and adjacency sets built from rows."""
+    calls = {"subgraph": 0, "sets": 0}
+    for method, key in (("subgraph", "subgraph"), ("_neighbor_set", "sets")):
+        original = getattr(Graph, method)
+
+        def counting(self, arg, _original=original, _key=key):
+            calls[_key] += 1
+            return _original(self, arg)
+
+        monkeypatch.setattr(Graph, method, counting)
+    return calls
+
+
+def test_nl_pressure_instance_work_counts_at_r16(monkeypatch, seed_path):
+    """The layered fast path's acceptance, in counts rather than wall clock,
+    on the R=16, |V|=1000 pressure instance of
+    ``benchmarks/bench_scaling.py::test_nl_shared_peo_speedup_at_r16``: the
+    shared-PEO path runs one MCS and R Frank searches, copies no subgraph and
+    builds no adjacency set; the seed kernel copies one subgraph and runs one
+    MCS per round; both reach the same spill cost."""
+    from repro.graphs import chordal, stable_set
+
+    graph, _ = random_interval_graph(1000, rng=1000, span=1000, max_length=100)
+    mcs = count_calls(monkeypatch, chordal, "maximum_cardinality_search")
+    frank = count_calls(monkeypatch, stable_set, "maximum_weighted_stable_set")
+    calls = _count_graph_work(monkeypatch)
+    problem = AllocationProblem(graph=graph, num_registers=16)
+    fast = LayeredOptimalAllocator().allocate(problem)
+    assert problem.max_pressure > 16
+    assert fast.stats["layers"] == 16
+    assert (mcs["n"], frank["n"]) == (1, 16)
+    assert calls == {"subgraph": 0, "sets": 0}
+
+    seed_problem = AllocationProblem(graph=graph.copy(), num_registers=16)
+    seed_problem.peo  # the seed kernel never reads it: leave it out of the counts
+    mcs["n"] = 0
+    legacy = seed_path(LayeredOptimalAllocator(), seed_problem)
+    assert legacy.stats["layers"] == 16
+    assert mcs["n"] == calls["subgraph"] == 16
+    assert fast.spill_cost == pytest.approx(legacy.spill_cost)

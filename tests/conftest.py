@@ -34,6 +34,33 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def _graph_document(vertices=None, edges=None):
+    return {
+        "format": "repro-interference-graph",
+        "version": 1,
+        "name": "malformed",
+        "vertices": [{"id": "a", "weight": 1.0}, {"id": "b", "weight": 2.0}] if vertices is None else vertices,
+        "edges": [["a", "b"]] if edges is None else edges,
+    }
+
+
+#: graph-JSON documents every reader must reject with one typed GraphError.
+MALFORMED_GRAPH_DOCUMENTS = {
+    "vertex-without-id": _graph_document(vertices=[{"weight": 1.0}], edges=[]),
+    "list-id": _graph_document(vertices=[{"id": ["a"], "weight": 1.0}], edges=[]),
+    "string-weight": _graph_document(vertices=[{"id": "a", "weight": "heavy"}], edges=[]),
+    "null-weight": _graph_document(vertices=[{"id": "a", "weight": None}], edges=[]),
+    "vertex-not-an-object": _graph_document(vertices=["a"], edges=[]),
+    "vertices-not-a-list": _graph_document(vertices={"a": 1.0}, edges=[]),
+    "edge-of-three": _graph_document(edges=[["a", "b", "a"]]),
+    "edge-not-a-list": _graph_document(edges=[5]),
+    "duplicate-id": _graph_document(vertices=[{"id": "a"}, {"id": "a", "weight": 3.0}], edges=[]),
+    "dangling-edge": _graph_document(edges=[["a", "ghost"]]),
+    "self-loop": _graph_document(edges=[["a", "a"]]),
+    "negative-weight": _graph_document(vertices=[{"id": "a", "weight": -1.0}], edges=[]),
+}
+
+
 def build_paper_figure4_graph() -> Graph:
     """The chordal graph of the paper's Figures 4/5/6.
 

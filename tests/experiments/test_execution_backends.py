@@ -19,7 +19,6 @@ from repro.analysis.live_ranges import LiveInterval
 from repro.errors import ServiceError
 from repro.experiments.backends import LocalPoolBackend, ServiceBackend
 from repro.experiments.runner import ExperimentConfig, run_experiment
-from repro.graphs.dense import DenseGraph
 from repro.graphs.generators import random_chordal_graph, random_interval_graph
 from repro.service.server import AllocationService
 from repro.store import open_store
@@ -131,12 +130,11 @@ TWO_INSTANCE_REQUESTS = "b4ca7bdcfa0d96ec24c4f981f630513690a33e6565b536884e9e16d
 
 
 def test_service_backend_request_bytes_pinned_by_value():
-    # Dense rows list edges in a fixed order; adjacency sets of string
-    # vertices iterate in an order that varies with the hash seed.
-    chordal = AllocationProblem(graph=DenseGraph.from_graph(random_chordal_graph(14, rng=0)), num_registers=4, name="p0")
+    # Rows list edges in a fixed order, whatever the hash seed.
+    chordal = AllocationProblem(graph=random_chordal_graph(14, rng=0), num_registers=4, name="p0")
     graph, intervals = random_interval_graph(12, rng=7, span=30, max_length=8)
     with_intervals = AllocationProblem(
-        graph=DenseGraph.from_graph(graph),
+        graph=graph,
         num_registers=4,
         name="spans",
         intervals=[LiveInterval(str(v), start, end) for v, (start, end) in sorted(intervals.items(), key=str)],

@@ -237,8 +237,8 @@ def test_lex_bfs_runtime_grows_subquadratically(monkeypatch):
     counted = {}
     for n in (500, 2000):
         g = random_chordal_graph(n, rng=n, extra_edge_prob=0.5)
-        for v in g.vertices():
-            g._adj[v] = CountingSet(g._adj[v])
+        for v in g.vertices():  # lex-BFS reads each neighbourhood through this cache
+            g._sets[v] = CountingSet(g.neighbors(v))
         work["ops"] = 0
         order = lex_bfs(g)
         assert sorted(order, key=str) == sorted(g.vertices(), key=str)

@@ -1,11 +1,13 @@
-"""The dense elimination-order kernels against the set-based reference.
+"""The row elimination-order kernels against the set-based references
+(``tests/graphs/set_reference.py``).
 
 * the bucket-mask MCS returns the reference visit order, ``start`` included;
 * the suffix-mask PEO check agrees with the reference on MCS orders and on
   shuffled orders;
 * the restriction lemma: a PEO of G restricted to S is a PEO of G[S], so the
   restricted clique number and tree-scan answer for the induced subgraph,
-  on ``DenseGraph`` and plain ``Graph`` alike.
+  whether the rows were adopted whole (``from_rows``) or built edge by edge,
+  and agree with the set references.
 
 600 generated graphs in all, over seven families.
 """
@@ -21,7 +23,6 @@ from repro.graphs.coloring import (
     restricted_clique_number,
     restricted_coloring,
 )
-from repro.graphs.dense import DenseGraph, dense_is_peo, dense_mcs
 from repro.graphs.generators import (
     complete_graph,
     cycle_graph,
@@ -31,6 +32,12 @@ from repro.graphs.generators import (
     random_interval_graph,
 )
 from repro.graphs.graph import Graph
+from tests.graphs.set_reference import (
+    reference_is_peo,
+    reference_mcs,
+    reference_restricted_clique_number,
+    reference_restricted_coloring,
+)
 
 
 def _shuffled_insertion(graph: Graph, rng: random.Random) -> Graph:
@@ -83,12 +90,11 @@ def _graphs(kinds=FAMILIES):
 @pytest.mark.parametrize("kind", FAMILIES)
 def test_bucket_mcs_matches_the_reference_order(kind):
     for _, seed, graph in _graphs((kind,)):
-        dense = DenseGraph.from_graph(graph)
-        assert dense_mcs(dense) == maximum_cardinality_search(graph), (kind, seed)
+        assert maximum_cardinality_search(graph) == reference_mcs(graph), (kind, seed)
         starts = graph.vertices()
         random.Random(seed).shuffle(starts)
         for start in starts[:3]:
-            assert dense_mcs(dense, start=start) == maximum_cardinality_search(graph, start=start), (
+            assert maximum_cardinality_search(graph, start=start) == reference_mcs(graph, start=start), (
                 kind,
                 seed,
                 start,
@@ -98,7 +104,6 @@ def test_bucket_mcs_matches_the_reference_order(kind):
 @pytest.mark.parametrize("kind", FAMILIES)
 def test_suffix_mask_peo_check_matches_the_reference(kind):
     for _, seed, graph in _graphs((kind,)):
-        dense = DenseGraph.from_graph(graph)
         rng = random.Random(seed)
         orders = [list(reversed(maximum_cardinality_search(graph)))]
         for _ in range(4):
@@ -106,7 +111,7 @@ def test_suffix_mask_peo_check_matches_the_reference(kind):
             rng.shuffle(shuffled)
             orders.append(shuffled)
         for order in orders:
-            assert dense_is_peo(dense, order) == is_perfect_elimination_order(graph, order), (
+            assert is_perfect_elimination_order(graph, order) == reference_is_peo(graph, order), (
                 kind,
                 seed,
                 order,
@@ -115,12 +120,19 @@ def test_suffix_mask_peo_check_matches_the_reference(kind):
 
 def test_peo_check_rejects_malformed_orders():
     graph = random_chordal_graph(12, rng=4)
-    dense = DenseGraph.from_graph(graph)
     order = list(reversed(maximum_cardinality_search(graph)))
-    assert dense_is_peo(dense, order)
-    assert not dense_is_peo(dense, order[:-1])
-    assert not dense_is_peo(dense, order[:-1] + order[:1])
-    assert not dense_is_peo(dense, order[:-1] + ["stranger"])
+    assert is_perfect_elimination_order(graph, order)
+    for malformed in (order[:-1], order[:-1] + order[:1], order[:-1] + ["stranger"]):
+        assert not is_perfect_elimination_order(graph, malformed)
+        assert not reference_is_peo(graph, malformed)
+    assert not is_perfect_elimination_order(graph, order[:-1] + [["unhashable"]])
+
+
+def _host(graph: Graph, adopted: bool) -> Graph:
+    """``graph`` itself (rows built edge by edge by the generators) or its
+    rows adopted whole by ``from_rows``.  The ids name the two classes these
+    hosts once were."""
+    return graph.copy() if adopted else graph
 
 
 @pytest.mark.parametrize("dense", [True, False], ids=["DenseGraph", "Graph"])
@@ -128,7 +140,7 @@ def test_peo_check_rejects_malformed_orders():
 def test_restriction_lemma(kind, dense):
     for _, seed, graph in _graphs((kind,)):
         peo = list(reversed(maximum_cardinality_search(graph)))
-        host = DenseGraph.from_graph(graph) if dense else graph
+        host = _host(graph, dense)
         rng = random.Random(seed)
         for _ in range(3):
             members = [v for v in graph.vertices() if rng.random() < rng.random()]
@@ -137,7 +149,9 @@ def test_restriction_lemma(kind, dense):
             assert is_perfect_elimination_order(induced, [v for v in peo if v in kept])
             omega = chromatic_number_chordal(induced)
             assert restricted_clique_number(host, peo, members) == omega, (kind, seed)
+            assert reference_restricted_clique_number(graph, peo, members) == omega, (kind, seed)
             coloring = restricted_coloring(host, peo, members)
+            assert coloring == reference_restricted_coloring(graph, peo, members), (kind, seed)
             assert set(coloring) == set(members)
             assert is_valid_coloring(induced, coloring, num_colors=omega), (kind, seed)
             assert len(set(coloring.values())) == omega
@@ -146,7 +160,7 @@ def test_restriction_lemma(kind, dense):
 @pytest.mark.parametrize("dense", [True, False], ids=["DenseGraph", "Graph"])
 def test_restriction_ignores_unknown_members_and_handles_empty_sets(dense):
     graph = random_chordal_graph(10, rng=2)
-    host = DenseGraph.from_graph(graph) if dense else graph
+    host = _host(graph, dense)
     peo = list(reversed(maximum_cardinality_search(graph)))
     assert restricted_clique_number(host, peo, []) == 0
     assert restricted_coloring(host, peo, []) == {}

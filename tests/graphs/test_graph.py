@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import GraphError
-from repro.graphs.dense import DenseGraph
 from repro.graphs.graph import Graph
 from repro.graphs.io import graph_from_dict, graph_to_dict
 
@@ -187,60 +186,20 @@ def test_vertices_preserve_insertion_order():
     assert g.vertices() == ["z", "a", "m"]
 
 
-# ---------------------------------------------------------------------- #
-# induced views (the no-copy subgraphs behind the layered fast path)
-# ---------------------------------------------------------------------- #
-def _abc_graph():
+def test_subgraph_total_weight_and_clique():
     g = Graph.from_edges(
         [("a", "b"), ("b", "c"), ("c", "d")],
         weights={"a": 1, "b": 2, "c": 3, "d": 4},
         isolated=["e"],
     )
-    return g
-
-
-def test_induced_view_matches_subgraph_semantics():
-    g = _abc_graph()
-    for keep in (["a", "b"], ["a", "c", "e"], ["a", "b", "c", "d", "e"], [], ["ghost", "a"]):
-        view = g.induced_view(keep)
-        copy = g.subgraph(keep)
-        assert view.vertices() == copy.vertices()
-        assert len(view) == len(copy)
-        assert view.num_edges() == copy.num_edges()
-        assert view.weights() == copy.weights()
-        assert sorted(view.edges()) == sorted(copy.edges())
-        for v in copy.vertices():
-            assert view.neighbors(v) == copy.neighbors(v)
-            assert view.degree(v) == copy.degree(v)
-
-
-def test_induced_view_does_not_copy_adjacency():
-    g = _abc_graph()
-    view = g.induced_view(["a", "b", "c"])
-    assert view.has_edge("a", "b")
-    assert not view.has_edge("c", "d")  # d outside the mask
-    assert "d" not in view
+    sub = g.subgraph(["a", "b", "c", "ghost"])
+    assert sub.total_weight() == 6
+    assert sub.total_weight(["a", "c"]) == 4
+    assert sub.is_clique(["a", "b"])
+    assert not sub.is_clique(["a", "c"])
+    assert not sub.has_edge("c", "d")  # d outside the kept set
     with pytest.raises(GraphError):
-        view.neighbors("d")
-    with pytest.raises(GraphError):
-        view.weight("ghost")
-
-
-def test_induced_view_materialize_round_trips():
-    g = _abc_graph()
-    view = g.induced_view(["b", "c", "d"])
-    copy = view.materialize()
-    assert copy.vertices() == view.vertices()
-    assert copy.num_edges() == view.num_edges()
-
-
-def test_induced_view_total_weight_and_clique():
-    g = _abc_graph()
-    view = g.induced_view(["a", "b", "c"])
-    assert view.total_weight() == 6
-    assert view.total_weight(["a", "c"]) == 4
-    assert view.is_clique(["a", "b"])
-    assert not view.is_clique(["a", "c"])
+        sub.weight("ghost")
 
 
 def test_nan_weight_rejected_everywhere_a_weight_enters():
@@ -255,13 +214,13 @@ def test_nan_weight_rejected_everywhere_a_weight_enters():
         g.add_vertex("a", weight=nan)
     assert g.weight("a") == 1.0
     with pytest.raises(GraphError, match="NaN weight"):
-        DenseGraph.from_rows(["a"], [0], [nan])
-    dense = DenseGraph.from_rows(["a"], [0], [1.0])
+        Graph.from_rows(["a"], [0], [nan])
+    dense = Graph.from_rows(["a"], [0], [1.0])
     with pytest.raises(GraphError, match="NaN weight"):
         dense.add_vertex("a", nan)  # the weight-only update keeps the rows
     with pytest.raises(GraphError, match="NaN weight"):
         dense.set_weight("a", nan)
-    assert dense.dense_rows() == [0] and dense.weight("a") == 1.0
+    assert dense.rows() == [0] and dense.weight("a") == 1.0
     document = graph_to_dict(g)
     document["vertices"][0]["weight"] = nan
     with pytest.raises(GraphError, match="NaN weight"):

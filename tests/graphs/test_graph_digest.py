@@ -1,24 +1,22 @@
 """The streamed graph digest against the materialised canonical payload.
 
 ``graph_digest(g)`` must equal the SHA-256 of ``json.dumps`` of
-``canonical_graph_payload(g)`` byte for byte, on plain ``Graph``s, on their
-live ``DenseGraph`` twins, on degraded ``DenseGraph``s and on every shipped
-corpus.  The random graphs draw names that need JSON escaping or rank
+``canonical_graph_payload(g)`` byte for byte, on graphs built edge by edge,
+on their ``from_rows`` copies, on graphs whose rows were then mutated in
+place and on every shipped corpus.  The random graphs draw names that need JSON escaping or rank
 differently as strings than as insertion order, weights at json's float
 encoding edge cases, isolated vertices, and vertices that share a string
 form.
 """
 
-import hashlib
-import json
 import random
 
 import pytest
 
-from repro.graphs.dense import DenseGraph
 from repro.graphs.graph import Graph
-from repro.graphs.io import canonical_graph_payload, graph_digest
+from repro.graphs.io import graph_digest
 from repro.workloads import SUITES, build_corpus
+from tests.graphs.set_reference import reference_digest
 
 AWKWARD_NAMES = [
     'say "hi"', "back\\slash", "café", "∃x", "\U0001f600", "bell\x07", "nul\x00",
@@ -26,11 +24,6 @@ AWKWARD_NAMES = [
 ]
 AWKWARD_WEIGHTS = [0.0, 5e-324, 1e-300, 1e300, 0.1 + 0.2, float("inf"), 1.0, 7, 1 / 3]
 ALPHABET = "ab01._\"\\é∃\x01"
-
-
-def reference_digest(graph) -> str:
-    payload = json.dumps(canonical_graph_payload(graph), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def _name(rng: random.Random, index: int):
@@ -65,15 +58,16 @@ def random_graph(seed: int) -> Graph:
     return graph
 
 
-def _degraded(graph: Graph, rng: random.Random) -> DenseGraph:
-    """A DenseGraph twin after a structural mutation fell back to sets."""
-    dense = DenseGraph.from_graph(graph)
-    dense.add_vertex(("fresh", rng.randrange(1000)), rng.uniform(0, 5))
-    edges = dense.edges()
+def _mutated(graph: Graph, rng: random.Random) -> Graph:
+    """A copy of ``graph`` after structural mutations edited its rows."""
+    copy = graph.copy()
+    copy.add_vertex(("fresh", rng.randrange(1000)), rng.uniform(0, 5))
+    edges = copy.edges()
     if edges:
-        dense.remove_edge(*rng.choice(edges))
-    assert dense.dense_rows() is None
-    return dense
+        copy.remove_edge(*rng.choice(edges))
+    if len(copy) > 2:
+        copy.remove_vertex(rng.choice(copy.vertices()))
+    return copy
 
 
 SEEDS = range(300)
@@ -88,15 +82,14 @@ def test_streamed_digest_matches_the_payload_on_random_graphs():
 def test_streamed_digest_matches_the_payload_on_dense_twins():
     for seed in SEEDS:
         graph = random_graph(seed)
-        dense = DenseGraph.from_graph(graph)
-        assert dense.dense_rows() is not None
-        assert graph_digest(dense) == reference_digest(graph) == reference_digest(dense), seed
+        copy = graph.copy()
+        assert graph_digest(copy) == reference_digest(graph) == reference_digest(copy), seed
 
 
-def test_streamed_digest_matches_the_payload_on_degraded_dense_graphs():
+def test_streamed_digest_matches_the_payload_on_mutated_graphs():
     for seed in SEEDS:
-        degraded = _degraded(random_graph(seed), random.Random(seed))
-        assert graph_digest(degraded) == reference_digest(degraded), seed
+        mutated = _mutated(random_graph(seed), random.Random(seed))
+        assert graph_digest(mutated) == reference_digest(mutated), seed
 
 
 def test_random_graphs_cover_the_awkward_cases():

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import GraphError
 from repro.graphs.generators import random_chordal_graph
 from repro.graphs.io import dump_graph, graph_from_dict, graph_to_dict, load_graph
+from tests.conftest import MALFORMED_GRAPH_DOCUMENTS
 
 
 def graphs_equal(a, b):
@@ -83,3 +84,39 @@ def test_vertex_weights_default_to_one():
         "edges": [],
     }
     assert graph_from_dict(data).weight("a") == 1.0
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_GRAPH_DOCUMENTS))
+def test_from_dict_rejects_malformed_documents_with_a_typed_error(name):
+    with pytest.raises(GraphError) as raised:
+        graph_from_dict(MALFORMED_GRAPH_DOCUMENTS[name])
+    message = str(raised.value)
+    assert ("entry 0" in message or "entry 1" in message or "edge" in message
+            or '"vertices"' in message or "vertex 'a'" in message), message
+
+
+def test_from_dict_names_the_duplicate_entry():
+    with pytest.raises(GraphError, match="vertex entry 1: duplicate id 'a'"):
+        graph_from_dict(MALFORMED_GRAPH_DOCUMENTS["duplicate-id"])
+
+
+def test_from_dict_takes_integer_weights_and_rejects_booleans():
+    document = {"format": "repro-interference-graph", "version": 1,
+                "vertices": [{"id": "a", "weight": 3}], "edges": []}
+    assert graph_from_dict(document).weight("a") == 3.0
+    document["vertices"][0]["weight"] = True
+    with pytest.raises(GraphError, match="weight must be a number"):
+        graph_from_dict(document)
+    document["vertices"][0]["weight"] = 10 ** 400  # no float holds it
+    with pytest.raises(GraphError, match="weight must be a number"):
+        graph_from_dict(document)
+    with pytest.raises(GraphError, match="not a repro interference graph"):
+        graph_from_dict(["not", "a", "document"])
+
+
+def test_round_trip_keeps_vertex_order_rows_and_edge_order():
+    g = random_chordal_graph(30, rng=4)
+    restored = graph_from_dict(graph_to_dict(g))
+    assert restored.vertices() == [str(v) for v in g.vertices()]
+    assert restored.rows() == g.rows()
+    assert graph_to_dict(restored) == graph_to_dict(g)

@@ -19,15 +19,15 @@ from typing import Dict, Iterable, List, Set, Tuple
 
 import pytest
 
-import repro.graphs.dense as dense_module
+import repro.graphs.stable_set as stable_set
 from repro.alloc.base import get_allocator
 from repro.alloc.load_store_opt import remove_redundant_reloads
 from repro.alloc.spill_code import insert_spill_code
 from repro.analysis.ssa_construction import construct_ssa
 from repro.errors import GraphError
 from repro.graphs.chordal import maximum_cardinality_search, perfect_elimination_order
-from repro.graphs.dense import DenseGraph
 from repro.graphs.generators import random_interval_graph
+from repro.graphs.graph import Graph
 from repro.graphs.stable_set import maximum_weighted_stable_set
 from repro.ir.function import Function
 from repro.ir.instructions import Instruction, Opcode, make_binary, make_branch, make_cond_branch
@@ -39,6 +39,7 @@ from repro.pipeline import Pipeline
 from repro.workloads.programs import GeneratorProfile, generate_function
 
 from tests.conftest import count_calls
+from tests.graphs.set_reference import reference_frank
 
 
 def sha(text: str) -> str:
@@ -323,9 +324,8 @@ def test_a_six_register_sweep_builds_the_order_setup_once(monkeypatch):
     profile = GeneratorProfile(statements=120, accumulators=12, loop_depth=3)
     function = generate_function("sweep", profile, rng=random.Random(6))
     problem = _front_end(function, ssa=True).problem
-    assert isinstance(problem.graph, DenseGraph)
-    builds = count_calls(monkeypatch, dense_module, "build_frank_order")
-    frank = count_calls(monkeypatch, dense_module, "dense_frank")
+    builds = count_calls(monkeypatch, stable_set, "build_frank_order")
+    frank = count_calls(monkeypatch, stable_set, "frank_order")
     layers = 0
     for name in ("NL", "BL", "FPL", "BFPL"):
         for registers in (1, 2, 3, 4, 6, 8):
@@ -335,14 +335,14 @@ def test_a_six_register_sweep_builds_the_order_setup_once(monkeypatch):
     assert frank["n"] >= layers > 0  # every layer still runs Frank's walk
 
 
-def _chordal_pair(seed: int) -> Tuple[DenseGraph, object]:
-    plain, _intervals = random_interval_graph(60, rng=seed, max_length=15, span=80)
-    return DenseGraph.from_graph(plain), plain
+def _chordal(seed: int) -> Graph:
+    graph, _intervals = random_interval_graph(60, rng=seed, max_length=15, span=80)
+    return graph
 
 
 def test_a_peo_with_other_contents_gets_its_own_setup(monkeypatch):
-    graph, plain = _chordal_pair(3)
-    builds = count_calls(monkeypatch, dense_module, "build_frank_order")
+    graph = _chordal(3)
+    builds = count_calls(monkeypatch, stable_set, "build_frank_order")
     first = perfect_elimination_order(graph)
     vertices = graph.vertices()
     second = list(reversed(maximum_cardinality_search(graph, start=vertices[-1])))
@@ -353,7 +353,7 @@ def test_a_peo_with_other_contents_gets_its_own_setup(monkeypatch):
     for peo, expected_builds in ((first, 1), (first, 1), (second, 2), (list(first), 3)):
         dense_result = maximum_weighted_stable_set(graph, peo=peo, candidates=candidates)
         assert builds["n"] == expected_builds
-        assert dense_result == maximum_weighted_stable_set(plain, peo=peo, candidates=candidates)
+        assert dense_result == reference_frank(graph, peo=peo, candidates=candidates)
 
     # The same list object, mutated in place, is a PEO with other contents.
     peo = list(first)
@@ -361,20 +361,25 @@ def test_a_peo_with_other_contents_gets_its_own_setup(monkeypatch):
     assert builds["n"] == 3
     peo[:] = second
     assert maximum_weighted_stable_set(graph, peo=peo, candidates=candidates) == (
-        maximum_weighted_stable_set(plain, peo=second, candidates=candidates)
+        reference_frank(graph, peo=second, candidates=candidates)
     )
     assert builds["n"] == 4
+    graph.add_edge(vertices[0], "fresh")  # a structural mutation drops the setup
+    assert maximum_weighted_stable_set(graph, peo=second + ["fresh"], candidates=candidates) == (
+        reference_frank(graph, peo=second + ["fresh"], candidates=candidates)
+    )
+    assert builds["n"] == 5
 
 
 def test_missing_weight_and_peo_vertex_errors_keep_their_text():
-    graph, plain = _chordal_pair(4)
+    graph = _chordal(4)
     peo = perfect_elimination_order(graph)
     vertices = graph.vertices()
     lacking = {v: graph.weight(v) for v in vertices[1:]}
-    for g in (graph, plain):
+    for frank in (maximum_weighted_stable_set, reference_frank):
         with pytest.raises(GraphError) as weights_error:
-            maximum_weighted_stable_set(g, weights=lacking, peo=peo)
+            frank(graph, weights=lacking, peo=peo)
         assert str(weights_error.value) == f"weights missing for vertices: {[vertices[0]]!r}"
         with pytest.raises(GraphError) as peo_error:
-            maximum_weighted_stable_set(g, peo=peo[1:], candidates=vertices)
+            frank(graph, peo=peo[1:], candidates=vertices)
         assert str(peo_error.value) == f"peo missing candidate vertices: {[peo[0]]!r}"

@@ -204,3 +204,29 @@ def test_cli_jobs_limit_below_one_is_one_error_line(tmp_path, capsys):
     assert len(lines) == 1
     assert lines[0].startswith("repro-alloc: error: ")
     assert "field 'limit' must be an integer >= 1, got '-1'" in lines[0]
+
+
+def test_malformed_graph_documents_are_http_400_on_jobs_and_batches(tmp_path):
+    """Each malformed graph JSON gets a typed 400 on both POST endpoints,
+    never a dropped connection, and queues nothing."""
+    import urllib.error
+    import urllib.request
+
+    from tests.conftest import MALFORMED_GRAPH_DOCUMENTS
+
+    with AllocationService(tmp_path / "c.sqlite", tmp_path / "q.sqlite", workers=0) as service:
+        for name, document in sorted(MALFORMED_GRAPH_DOCUMENTS.items()):
+            member = {"graph": document, "registers": 2, "allocator": ALLOCATOR}
+            for path, body in (("/v1/jobs", member), ("/v1/batches", {"jobs": [member]})):
+                request = urllib.request.Request(
+                    f"{service.url}{path}",
+                    data=json.dumps(body).encode("utf-8"),
+                    headers={"Content-Type": "application/json"},
+                    method="POST",
+                )
+                with pytest.raises(urllib.error.HTTPError) as raised:
+                    urllib.request.urlopen(request, timeout=30)
+                assert raised.value.code == 400, (name, path)
+                error = json.loads(raised.value.read())["error"]
+                assert "invalid submission: " in error, (name, path, error)
+        assert len(service.queue) == 0

@@ -1,6 +1,7 @@
 """Bench history files and the bench-diff comparator."""
 
 import json
+import subprocess
 
 import pytest
 
@@ -11,7 +12,9 @@ from repro.telemetry.bench import (
     diff_entries,
     latest_entry,
     load_bench_file,
+    make_entry,
     render_bench_diff,
+    working_tree_rev,
 )
 
 FLAT_PAYLOAD = {
@@ -154,3 +157,37 @@ def test_render_bench_diff_flags_verdicts():
     assert "REGRESSED" in slow and "+100.0%" in slow
     assert "improved" in fast
     assert same.rstrip().endswith("ok")
+
+
+# ---------------------------------------------------------------------- #
+# the revision an entry names
+# ---------------------------------------------------------------------- #
+def _git(repo, *args):
+    subprocess.run(
+        ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.invalid", *args],
+        cwd=repo, check=True, capture_output=True,
+    )
+
+
+def test_entry_marks_a_working_tree_that_differs_from_head(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _git(repo, "init", "-q")
+    (repo / "tracked.txt").write_text("one\n")
+    _git(repo, "add", "tracked.txt")
+    _git(repo, "commit", "-q", "-m", "first")
+    rev = subprocess.run(
+        ["git", "rev-parse", "--short", "HEAD"], cwd=repo, capture_output=True, text=True, check=True
+    ).stdout.strip()
+    assert working_tree_rev(str(repo)) == rev
+    (repo / "untracked.txt").write_text("not tracked\n")
+    assert working_tree_rev(str(repo)) == rev
+    (repo / "tracked.txt").write_text("two\n")
+    assert working_tree_rev(str(repo)) == f"{rev}-dirty"
+    monkeypatch.chdir(repo)
+    assert make_entry({"a_seconds": 1.0}, recorded_at="t")["git_rev"] == f"{rev}-dirty"
+
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    assert working_tree_rev(str(outside)) == "unknown"

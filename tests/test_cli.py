@@ -9,7 +9,7 @@ from repro.graphs.io import dump_graph
 from repro.ir.printer import print_function
 from repro.store import open_store
 from repro.workloads.programs import GeneratorProfile, generate_function
-from tests.conftest import build_paper_figure4_graph
+from tests.conftest import MALFORMED_GRAPH_DOCUMENTS, build_paper_figure4_graph
 
 
 def test_cli_list(capsys):
@@ -107,6 +107,47 @@ def test_cli_allocate_wrong_document_is_clean_error(tmp_path, capsys):
     path.write_text('{"format": "something-else"}')
     assert main(["allocate", "--input", str(path)]) == 1
     assert "invalid input file" in capsys.readouterr().err
+
+
+def _malformed_graph_errors(tmp_path, capsys, command):
+    """Run ``command`` (argv up to the input path) on each malformed graph
+    document: exit 1 and one ``repro-alloc: error:`` line carrying the
+    reader's typed message."""
+    from repro.errors import GraphError
+    from repro.graphs.io import graph_from_dict
+
+    for name, document in sorted(MALFORMED_GRAPH_DOCUMENTS.items()):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(GraphError) as expected:
+            graph_from_dict(document)
+        assert main([*command, str(path)]) == 1, name
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("repro-alloc: error: "), (name, captured.err)
+        assert str(expected.value) in lines[0], (name, lines[0])
+
+
+def test_cli_allocate_malformed_graph_is_one_error_line(tmp_path, capsys):
+    _malformed_graph_errors(tmp_path, capsys, ["allocate", "--registers", "2", "--input"])
+
+
+def test_cli_trace_malformed_graph_is_one_error_line(tmp_path, capsys):
+    _malformed_graph_errors(tmp_path, capsys, ["trace", "--registers", "2"])
+
+
+def test_cli_submit_malformed_graph_is_one_error_line(tmp_path, capsys):
+    # The document is read before any connection: the URL is never contacted.
+    _malformed_graph_errors(tmp_path, capsys, ["submit", "--url", "http://127.0.0.1:9", "--registers", "2", "--input"])
+
+
+def test_cli_submit_unreadable_graph_file_is_one_error_line(tmp_path, capsys):
+    for name, content in (("broken.json", b"{not json"), ("binary.json", b"\xff\xfe"), ("fake.json.gz", b"plain")):
+        path = tmp_path / name
+        path.write_bytes(content)
+        assert main(["submit", "--url", "http://127.0.0.1:9", "--registers", "2", "--input", str(path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("repro-alloc: error: not a graph JSON file: "), lines
 
 
 def test_cli_allocate_invalid_ir_is_clean_error(tmp_path, capsys):
