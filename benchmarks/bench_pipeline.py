@@ -11,14 +11,16 @@ rerun performs **zero** allocate-stage calls.
 
 The file doubles as the **dense-kernel perf-smoke gate**::
 
-    PYTHONPATH=src python benchmarks/bench_pipeline.py \
+    PYTHONPATH=src:. python benchmarks/bench_pipeline.py \
         --stages liveness,interference --min-speedup 2.0
 
 times the named front-end stages on a fixed-seed large function through the
 pipeline (the dense bitset kernel) against the same work done by the
-set-based reference kernels, fails unless the dense kernel clears the
-speedup floor, and asserts the two kernels produce byte-identical problem
-digests and interchangeable warm-store cells (the same check
+set-based reference kernels (``liveness`` and the test-local builders of
+``tests/analysis/set_reference.py``, hence the repo root on the path), fails
+unless the dense kernel clears the speedup floor, and asserts the two
+kernels produce byte-identical problem digests and interchangeable
+warm-store cells (the same check
 ``test_dense_front_end_speedup_at_large_scale`` runs under pytest with the
 conservative 2x CI floor; the local target at the largest shipped scale is
 >= 3x).
@@ -188,9 +190,9 @@ def _time_reference_stages(function, target, stages, repeat):
     """
     import time
 
-    from repro.analysis.live_ranges import live_intervals
     from repro.analysis.spill_costs import spill_costs
     from repro.pipeline import PipelineContext
+    from tests.analysis import set_reference
 
     best = float("inf")
     context = None
@@ -200,8 +202,8 @@ def _time_reference_stages(function, target, stages, repeat):
         info = liveness(lowered)
         costs = spill_costs(lowered, store_cost=target.store_cost, load_cost=target.load_cost)
         analysed = time.perf_counter()
-        graph = build_interference_graph(lowered, info=info, weights=costs)
-        intervals = live_intervals(lowered, info=info)
+        graph = set_reference.build_interference_graph(lowered, info=info, weights=costs)
+        intervals = set_reference.live_intervals(lowered, info=info)
         timings = {"liveness": analysed - started, "interference": time.perf_counter() - analysed}
         best = min(best, sum(timings[stage] for stage in stages))
         context = PipelineContext(

@@ -12,12 +12,12 @@ backend the paper's allocators depend on:
 * :mod:`repro.analysis.loops` — natural loops and loop nesting depth;
 * :mod:`repro.analysis.frequency` — static basic-block frequency estimation
   (the ``10^depth`` model used for spill costs);
-* :mod:`repro.analysis.liveness` — live-in/live-out sets, per-point liveness
-  and MaxLive (the set-based reference);
+* :mod:`repro.analysis.liveness` — live-in/live-out sets and MaxLive (the
+  set-based reference the liveness checker recomputes);
 * :mod:`repro.analysis.vr_index` / :mod:`repro.analysis.dense` — the dense
   bitset kernel: a stable register↔bit mapping per function, worklist
-  liveness over int masks, and single-pass bitmask interference
-  construction, byte-equivalent to the reference analyses;
+  liveness over int masks, single-pass bitmask interference construction
+  and live intervals, equal to the set-based formulations;
 * :mod:`repro.analysis.live_ranges` — linearised live intervals for the
   linear-scan allocators;
 * :mod:`repro.analysis.ssa_construction` / :mod:`repro.analysis.ssa_destruction`
@@ -42,9 +42,7 @@ from repro.analysis.dense import (
     DenseLivenessInfo,
     build_interference_graph_dense,
     dense_live_intervals,
-    dense_live_sets_per_instruction,
     dense_liveness,
-    dense_max_live,
 )
 from repro.analysis.live_ranges import LiveInterval, live_intervals, number_instructions
 from repro.analysis.ssa_construction import construct_ssa
@@ -73,8 +71,6 @@ __all__ = [
     "DenseLivenessInfo",
     "dense_liveness",
     "dense_live_intervals",
-    "dense_live_sets_per_instruction",
-    "dense_max_live",
     "build_interference_graph_dense",
     "LiveInterval",
     "live_intervals",

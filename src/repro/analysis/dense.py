@@ -1,40 +1,49 @@
-"""Dense bitset dataflow kernel: liveness and interference on int masks.
+"""Dense bitset dataflow kernel: liveness, interference and live intervals.
 
-This module is the performance twin of :mod:`repro.analysis.liveness` and
-:mod:`repro.analysis.interference`: every register set becomes one
-arbitrary-width Python integer over a shared :class:`~repro.analysis.vr_index.VRIndex`,
-the backward liveness fixpoint becomes a predecessor-driven worklist over
-masks, and interference construction ORs definition points against live
-masks — emitting the whole adjacency as the bitmask rows of a
-:class:`~repro.graphs.graph.Graph` (:meth:`~repro.graphs.graph.Graph.from_rows`)
-in one pass, without materializing a single Python set.
+Every interference graph and every set of live intervals the program builds
+from a function comes from this module.  A register set is one
+arbitrary-width Python integer over a shared
+:class:`~repro.analysis.vr_index.VRIndex`, the backward liveness fixpoint is
+a predecessor-driven worklist over masks, interference construction ORs
+definition points against live masks — emitting the whole adjacency as the
+bitmask rows of a :class:`~repro.graphs.graph.Graph`
+(:meth:`~repro.graphs.graph.Graph.from_rows`) in one pass, without
+materializing a single Python set — and the live intervals fall out of two
+mask sweeps.  :mod:`repro.analysis.interference` and
+:mod:`repro.analysis.live_ranges` export the two builders under their
+classic names.
 
 Equivalence guarantee
 ---------------------
-Every function here is an exact replica of its set-based counterpart: same
-live-in/live-out contents, same per-point live sets, same MaxLive, same
-interference edges, weights and vertex order.  The set-based implementations
-stay in-tree as the reference oracle and the property suite
-(``tests/analysis/test_dense_kernel.py``) pins the equivalence on generated
-SSA and non-SSA corpora.  Stale φ edges are rejected with the same typed
-:class:`~repro.errors.PhiEdgeError` as the reference.
+The kernel computes exactly what the classical set formulations compute:
+the live-in/live-out sets of :func:`repro.analysis.liveness.liveness`, and
+the Chaitin interference graph (vertices, edges, weights and vertex order)
+and the Poletto–Sarkar intervals of the set-based builders.  ``liveness``
+stays in the program as the reference the liveness checker
+(:mod:`repro.check.dataflow`) recomputes; the set-based graph and interval
+builders are test references (``tests/analysis/set_reference.py``), and the
+property suite (``tests/analysis/test_dense_kernel.py``) pins the
+equivalence on generated SSA and non-SSA programs.  Stale φ edges are
+rejected with the same typed :class:`~repro.errors.PhiEdgeError` as the
+reference.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import MutableMapping
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.analysis.cfg import ControlFlowGraph
-from repro.analysis.live_ranges import LiveInterval
-from repro.analysis.liveness import LivenessInfo, validate_phi_edges
+from repro.analysis.liveness import validate_phi_edges
 from repro.analysis.spill_costs import spill_costs
 from repro.analysis.vr_index import VRIndex
 from repro.graphs.graph import Graph, bit_indices
 from repro.ir.function import Function
 from repro.ir.values import VirtualRegister
+
+if TYPE_CHECKING:  # live_ranges imports this module for its builder
+    from repro.analysis.live_ranges import LiveInterval
 
 #: per-instruction (defined-registers mask, used-registers mask) pair.
 InstructionMasks = Tuple[int, int]
@@ -59,66 +68,6 @@ class DenseLivenessInfo:
     #: per-block, per-instruction (def mask, use mask) in instruction order;
     #: shared with the interference builder so operands are scanned once.
     instruction_masks: Dict[str, List[InstructionMasks]] = field(repr=False, default_factory=dict)
-
-    def to_info(self) -> LivenessInfo:
-        """View as the set-based :class:`LivenessInfo` shape.
-
-        The returned info carries this object on its ``dense`` field so
-        downstream consumers (the interference stage) can stay on the
-        bitmask fast path.  Its ``live_in``/``live_out``/``defs``/
-        ``upward_exposed`` maps expand a block's mask into a register set
-        the first time that block is read and keep the set, so in-place
-        updates persist and a consumer that reads nothing (the default
-        pipeline) expands nothing.
-        """
-        index = self.index
-        return LivenessInfo(
-            live_in=LazyRegisterSets(self.live_in, index),
-            live_out=LazyRegisterSets(self.live_out, index),
-            defs=LazyRegisterSets(self.defs, index),
-            upward_exposed=LazyRegisterSets(self.upward_exposed, index),
-            dense=self,
-        )
-
-
-class LazyRegisterSets(MutableMapping):
-    """Block label -> register set, expanded from a bitmask on first read.
-
-    Reads return the same set object every time, and assignments replace
-    it, exactly like the ``dict`` of sets the set-based analysis builds.
-    """
-
-    __slots__ = ("_masks", "_index", "_sets")
-
-    def __init__(self, masks: Dict[str, int], index: VRIndex) -> None:
-        self._masks = masks
-        self._index = index
-        #: label -> expanded (or assigned) set; ``None`` until first read.
-        self._sets: Dict[str, Optional[set]] = dict.fromkeys(masks)
-
-    def __getitem__(self, label: str) -> set:
-        regs = self._sets[label]
-        if regs is None:
-            regs = self._sets[label] = self._index.set_of(self._masks[label])
-        return regs
-
-    def __setitem__(self, label: str, regs: set) -> None:
-        self._sets[label] = regs
-
-    def __delitem__(self, label: str) -> None:
-        del self._sets[label]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._sets)
-
-    def __len__(self) -> int:
-        return len(self._sets)
-
-    def __contains__(self, label: object) -> bool:
-        return label in self._sets
-
-    def __repr__(self) -> str:
-        return repr(dict(self.items()))
 
 
 def _block_masks(
@@ -220,82 +169,26 @@ def dense_liveness(
     )
 
 
-def dense_live_sets_per_instruction(
-    function: Function, info: Optional[DenseLivenessInfo] = None
-) -> Dict[str, List[int]]:
-    """Per-block list of live-*after* masks, one per instruction.
-
-    The mask at index ``i`` mirrors
-    :func:`repro.analysis.liveness.live_sets_per_instruction`'s set at the
-    same index.
-    """
-    if info is None:
-        info = dense_liveness(function)
-    per_block: Dict[str, List[int]] = {}
-    for block in function:
-        label = block.label
-        live = info.live_out[label]
-        masks = info.instruction_masks[label]
-        points = [0] * len(masks)
-        for position in range(len(masks) - 1, -1, -1):
-            def_mask, use_mask = masks[position]
-            points[position] = live
-            live = (live & ~def_mask) | use_mask
-        per_block[label] = points
-    return per_block
-
-
-def dense_max_live(function: Function, info: Optional[DenseLivenessInfo] = None) -> int:
-    """MaxLive via popcounts; mirrors :func:`repro.analysis.liveness.max_live`
-    (dead definitions still occupy a register at their definition point)."""
-    if info is None:
-        info = dense_liveness(function)
-    pressure = 0
-    for block in function:
-        label = block.label
-        entry = info.live_in[label].bit_count()
-        if entry > pressure:
-            pressure = entry
-        live = info.live_out[label]
-        for def_mask, use_mask in reversed(info.instruction_masks[label]):
-            after = (live | def_mask).bit_count()
-            if after > pressure:
-                pressure = after
-            live = (live & ~def_mask) | use_mask
-            before = live.bit_count()
-            if before > pressure:
-                pressure = before
-    return pressure
-
-
 def build_interference_graph_dense(
     function: Function,
     info: Optional[DenseLivenessInfo] = None,
     weights: Optional[Dict[VirtualRegister, float]] = None,
-    include: Optional[Iterable[VirtualRegister]] = None,
 ) -> Graph:
     """Build the weighted interference graph from its adjacency rows.
 
-    Same vertices (register names, first-occurrence order), same edges and
-    same weights as :func:`repro.analysis.interference.build_interference_graph`
-    — but built as symmetric bitmask rows in a single backward walk.  The
-    reverse direction (bit of the *defined* register into every live
+    Two registers interfere when one is defined where the other is live; φ
+    results and parameters interfere with everything live where they are
+    defined (block entry, function entry).  Vertices are register names in
+    first-occurrence order, weighted by ``weights`` (default: the spill-cost
+    model; a register missing from ``weights`` weighs 1.0).  The rows are
+    built symmetric in a single backward walk per block.  The reverse
+    direction (bit of the *defined* register into every live
     register's row) is accumulated with a prefix-diff trick: within one
     block walk, a register live over a span of program points receives the
     OR of the definition masks accumulated over exactly that span, closed
     with one ``A_close & ~A_open`` per span instead of one update per
     (definition × live register) pair.
-
-    ``include`` restricts the vertex set; that rarely-used form delegates to
-    the set-based reference builder.
     """
-    if include is not None:
-        from repro.analysis.interference import build_interference_graph
-
-        set_info = info.to_info() if info is not None else None
-        return build_interference_graph(
-            function, info=set_info, weights=weights, include=include
-        )
     if info is None:
         info = dense_liveness(function)
     if weights is None:
@@ -384,13 +277,16 @@ def dense_live_intervals(
 ) -> List[LiveInterval]:
     """Linearised live intervals, computed from the dense liveness masks.
 
-    Exact replica of :func:`repro.analysis.live_ranges.live_intervals`: the
-    reference extends every register's interval with one ``note()`` per
-    (block boundary × live register) pair, which dominates its cost; here a
-    register's start/end *block* falls out of two mask sweeps (first/last
-    block whose occurrence mask contains it) and only the position inside
-    those two blocks is resolved per register.
+    A register's interval runs from the first program point where it is
+    defined or live to the last point where it is used or live, on the
+    numbering of :func:`repro.analysis.live_ranges.number_instructions`;
+    a register live across a block covers the whole block.  Its start/end
+    *block* falls out of two mask sweeps (first/last block whose occurrence
+    mask contains it) and only the position inside those two blocks is
+    resolved per register.
     """
+    from repro.analysis.live_ranges import LiveInterval
+
     if info is None:
         info = dense_liveness(function)
     index = info.index

@@ -1,111 +1,23 @@
 """Interference graph construction.
 
 Two virtual registers interfere when one is defined at a point where the
-other is live (the classical Chaitin definition).  The construction walks
-each block backwards from its live-out set; φ results interfere with
-everything live at block entry.
+other is live (the classical Chaitin definition); φ results and parameters
+interfere with everything live where they are defined (block entry,
+function entry).
 
 For a strict-SSA function the resulting graph is chordal (live ranges are
 subtrees of the dominance tree); the non-SSA pipeline produces general
 graphs.  Spill-cost weights are attached from :mod:`repro.analysis.spill_costs`
 unless an explicit weight map is supplied.
+
+The builder is the dense kernel's
+(:func:`repro.analysis.dense.build_interference_graph_dense`), exported here
+under its classic name; it reads the bitmask liveness of
+:func:`repro.analysis.dense.dense_liveness`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set
+from repro.analysis.dense import build_interference_graph_dense
 
-from repro.analysis.liveness import LivenessInfo, liveness
-from repro.analysis.spill_costs import spill_costs
-from repro.graphs.graph import Graph
-from repro.ir.function import Function
-from repro.ir.values import VirtualRegister
-
-
-def build_interference_graph(
-    function: Function,
-    info: Optional[LivenessInfo] = None,
-    weights: Optional[Dict[VirtualRegister, float]] = None,
-    include: Optional[Iterable[VirtualRegister]] = None,
-) -> Graph:
-    """Build the weighted interference graph of ``function``.
-
-    Parameters
-    ----------
-    info:
-        Pre-computed liveness, recomputed if omitted.
-    weights:
-        Spill costs per register; computed with the default cost model if
-        omitted.  Vertices are keyed by register *name* (a string) so the
-        graph serializes cleanly and matches the allocator interfaces.
-    include:
-        Restrict the graph to these registers (default: every register of the
-        function).
-    """
-    if info is None:
-        info = liveness(function)
-    if weights is None:
-        weights = spill_costs(function)
-
-    registers = list(include) if include is not None else function.virtual_registers()
-    allowed: Set[VirtualRegister] = set(registers)
-
-    graph = Graph()
-    for reg in registers:
-        graph.add_vertex(reg.name, float(weights.get(reg, 1.0)))
-
-    def connect(a: VirtualRegister, b: VirtualRegister) -> None:
-        if a != b and a in allowed and b in allowed:
-            graph.add_edge(a.name, b.name)
-
-    # Parameters are all defined "at once" at function entry; like φ results
-    # they interfere with everything live at that point (including each
-    # other).  Without this the entry-live values would miss their mutual
-    # edges because no instruction defines them.
-    if function.entry_label is not None:
-        entry_live = info.live_in[function.entry_label] | set(function.parameters)
-        for param in function.parameters:
-            for other in entry_live:
-                connect(param, other)
-
-    for block in function:
-        # φ results are simultaneously live at block entry: they interfere
-        # with each other and with everything else live-in.
-        live_in = info.live_in[block.label]
-        for phi in block.phis:
-            for other in live_in:
-                connect(phi.target, other)
-
-        live: Set[VirtualRegister] = set(info.live_out[block.label])
-        for instruction in reversed(block.instructions):
-            defined = instruction.defined_registers()
-            for reg in defined:
-                for other in live:
-                    connect(reg, other)
-                # Two results of the same instruction interfere with each other.
-                for other in defined:
-                    connect(reg, other)
-            for reg in defined:
-                live.discard(reg)
-            for reg in instruction.used_registers():
-                live.add(reg)
-    return graph
-
-
-def register_pressure_by_block(function: Function, info: Optional[LivenessInfo] = None) -> Dict[str, int]:
-    """Maximum number of simultaneously live registers inside each block."""
-    if info is None:
-        info = liveness(function)
-    pressure: Dict[str, int] = {}
-    for block in function:
-        best = len(info.live_in[block.label])
-        live = set(info.live_out[block.label])
-        for instruction in reversed(block.instructions):
-            best = max(best, len(live | set(instruction.defined_registers())))
-            for reg in instruction.defined_registers():
-                live.discard(reg)
-            for reg in instruction.used_registers():
-                live.add(reg)
-            best = max(best, len(live))
-        pressure[block.label] = best
-    return pressure
+build_interference_graph = build_interference_graph_dense

@@ -6,6 +6,11 @@ non-chordal experiments do not work on an interference graph: they scan
 each instruction a number (in block layout order) and computes, for every
 virtual register, the conservative interval ``[start, end]`` covering every
 program point where the register is live — exactly the Poletto–Sarkar model.
+
+The interval builder is the dense kernel's
+(:func:`repro.analysis.dense.dense_live_intervals`), exported here as
+:func:`live_intervals`; it reads the bitmask liveness of
+:func:`repro.analysis.dense.dense_liveness`.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
-from repro.analysis.liveness import LivenessInfo, liveness
+from repro.analysis.dense import dense_live_intervals
 from repro.ir.function import Function
 from repro.ir.instructions import Instruction
 from repro.ir.values import VirtualRegister
@@ -55,65 +60,7 @@ def number_instructions(function: Function) -> Dict[int, Tuple[str, Instruction]
     return numbering
 
 
-def _block_spans(function: Function) -> Dict[str, Tuple[int, int]]:
-    """Return for each block the (first, last) instruction numbers it spans."""
-    spans: Dict[str, Tuple[int, int]] = {}
-    counter = 0
-    for block in function:
-        first = counter
-        counter += len(block.phis) + len(block.instructions)
-        spans[block.label] = (first, counter - 1)
-    return spans
-
-
-def live_intervals(
-    function: Function, info: LivenessInfo | None = None
-) -> List[LiveInterval]:
-    """Compute conservative live intervals for every register of ``function``.
-
-    A register's interval spans from the first program point where it is
-    defined or live to the last point where it is used or live.  Registers
-    live across a block (in live-in and live-out) extend over the whole block
-    even if unreferenced in it — the conservatism inherent to linear scan.
-    """
-    if info is None:
-        info = liveness(function)
-    spans = _block_spans(function)
-    start: Dict[VirtualRegister, int] = {}
-    end: Dict[VirtualRegister, int] = {}
-
-    def note(reg: VirtualRegister, point: int) -> None:
-        if reg not in start or point < start[reg]:
-            start[reg] = point
-        if reg not in end or point > end[reg]:
-            end[reg] = point
-
-    counter = 0
-    for block in function:
-        block_first, block_last = spans[block.label]
-        # Registers live on entry/exit of the block cover its whole span.
-        for reg in info.live_in[block.label]:
-            note(reg, block_first)
-        for reg in info.live_out[block.label]:
-            note(reg, block_last)
-        for phi in block.phis:
-            note(phi.target, counter)
-            counter += 1
-        for instruction in block.instructions:
-            for reg in instruction.defined_registers():
-                note(reg, counter)
-            for reg in instruction.used_registers():
-                note(reg, counter)
-            counter += 1
-
-    # Parameters are live from the very first instruction.
-    for param in function.parameters:
-        if param in start:
-            note(param, 0)
-
-    intervals = [LiveInterval(reg, start[reg], end[reg]) for reg in start]
-    intervals.sort(key=lambda interval: (interval.start, interval.end, interval.register.name))
-    return intervals
+live_intervals = dense_live_intervals
 
 
 def interval_pressure(intervals: List[LiveInterval]) -> int:

@@ -1,24 +1,26 @@
-"""Liveness analysis.
+"""Set-based liveness: the reference the dense kernel is checked against.
 
 Computes per-block live-in/live-out sets with the usual backward dataflow,
 handling φ-functions with SSA edge semantics: a φ's operand is live-out of
 the corresponding predecessor (not live-in of the φ's block), and the φ's
-result is live-in of its block.
-
-Also exposes per-program-point live sets and *MaxLive*, the maximal register
+result is live-in of its block.  Also exposes *MaxLive*, the maximal register
 pressure, which in the decoupled approach is the criterion deciding whether
 an allocation will color without spills.
+
+The pipeline runs the bitmask kernel (:mod:`repro.analysis.dense`).  This
+module is the from-scratch recomputation the liveness checker
+(:mod:`repro.check.dataflow`, LIV002/LIV003) compares the pipeline's masks
+with, and :func:`validate_phi_edges` is shared by both analyses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from repro.analysis.cfg import ControlFlowGraph
 from repro.errors import PhiEdgeError
 from repro.ir.function import Function
-from repro.ir.instructions import Phi
 from repro.ir.values import VirtualRegister
 
 RegisterSet = Set[VirtualRegister]
@@ -53,13 +55,7 @@ def validate_phi_edges(function: Function, cfg: ControlFlowGraph | None = None) 
 
 @dataclass
 class LivenessInfo:
-    """Result of liveness analysis for one function.
-
-    The reference analysis fills plain dicts; an info converted from the
-    dense kernel (:meth:`repro.analysis.dense.DenseLivenessInfo.to_info`)
-    holds mappings that expand a block's set on first read.  Both read,
-    update and compare the same way.
-    """
+    """Result of liveness analysis for one function, as register sets."""
 
     live_in: Dict[str, RegisterSet]
     live_out: Dict[str, RegisterSet]
@@ -67,15 +63,6 @@ class LivenessInfo:
     #: from ``uses``; φ results included in ``defs``).
     defs: Dict[str, RegisterSet] = field(default_factory=dict)
     upward_exposed: Dict[str, RegisterSet] = field(default_factory=dict)
-    #: the dense bitmask analysis this info was converted from, when the
-    #: dense kernel produced it (a :class:`repro.analysis.dense.DenseLivenessInfo`);
-    #: ``None`` for the set-based reference analysis.  Downstream stages use
-    #: it to stay on the bitmask fast path.
-    dense: object | None = field(default=None, repr=False, compare=False)
-
-    def pressure_at_block_boundaries(self) -> Dict[str, int]:
-        """Register pressure at each block entry (``len(live_in)``)."""
-        return {label: len(regs) for label, regs in self.live_in.items()}
 
 
 def _block_local_sets(function: Function) -> Tuple[Dict[str, RegisterSet], Dict[str, RegisterSet]]:
@@ -155,33 +142,6 @@ def liveness(function: Function) -> LivenessInfo:
                 changed = True
 
     return LivenessInfo(live_in=live_in, live_out=live_out, defs=defs, upward_exposed=upward)
-
-
-def live_sets_per_instruction(
-    function: Function, info: LivenessInfo | None = None
-) -> Dict[str, List[RegisterSet]]:
-    """Return, per block, the set of variables live *after* each instruction.
-
-    Index ``i`` of the returned list corresponds to the program point just
-    after ``block.instructions[i]`` executes (index 0 is after the first
-    non-φ instruction).  The block's live-in set (with φ results) gives the
-    point before the first instruction.
-    """
-    if info is None:
-        info = liveness(function)
-    per_block: Dict[str, List[RegisterSet]] = {}
-    for block in function:
-        live = set(info.live_out[block.label])
-        points: List[RegisterSet] = [set() for _ in block.instructions]
-        for index in range(len(block.instructions) - 1, -1, -1):
-            instruction = block.instructions[index]
-            points[index] = set(live)
-            for reg in instruction.defined_registers():
-                live.discard(reg)
-            for reg in instruction.used_registers():
-                live.add(reg)
-        per_block[block.label] = points
-    return per_block
 
 
 def max_live(function: Function, info: LivenessInfo | None = None) -> int:

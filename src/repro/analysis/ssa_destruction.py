@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.analysis.cfg import ControlFlowGraph
+from repro.analysis.dense import build_interference_graph_dense
 from repro.ir.function import Function
 from repro.ir.instructions import Opcode, make_branch, make_copy
 from repro.ir.values import VirtualRegister
@@ -90,14 +91,11 @@ def coalesce_copies(function: Function) -> Function:
     webs are merged only when no member of one is live at a definition of
     the other, per the Chaitin interference graph of the lowered function.
     Copy-related pairs whose source stays live across the copy keep that
-    edge, so the guard is conservative — never merging is always safe.
+    edge, so the guard is conservative — never merging is always safe.  The
+    guard reads only the graph's edges, so its vertices are left unweighted.
     """
-    from repro.analysis.interference import build_interference_graph
-    from repro.analysis.liveness import liveness
-
     result = function.clone()
-    info = liveness(result)
-    graph = build_interference_graph(result, info=info)
+    graph = build_interference_graph_dense(result, weights={})
 
     parent: Dict[str, str] = {}
 

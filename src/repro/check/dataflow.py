@@ -1,8 +1,10 @@
 """Liveness-consistency lint (codes ``LIV001``–``LIV003``).
 
-The pipeline's liveness stage may come from the dense bitset kernel or the
-set-based reference analysis; this checker statically cross-validates
-whatever the context carries:
+The pipeline's liveness stage runs the dense bitset kernel
+(:mod:`repro.analysis.dense`) and the context carries its masks.  This
+checker expands them into register sets (the only place a set view of
+pipeline liveness is built, and only with checking on) and statically
+cross-validates them:
 
 * ``LIV001`` — a block's stored live-out violates the backward transfer
   equation ``live_out(B) = phi_uses(B) ∪ ⋃_S (live_in(S) − phi_defs(S))``
@@ -21,6 +23,7 @@ from __future__ import annotations
 from typing import Dict, List, Set
 
 from repro.analysis.cfg import ControlFlowGraph
+from repro.analysis.dense import DenseLivenessInfo
 from repro.analysis.liveness import LivenessInfo, liveness, max_live
 from repro.check.cfg import cfg_diagnostics, has_structural_errors
 from repro.check.diagnostics import Diagnostic, Location, Severity
@@ -136,8 +139,14 @@ class LivenessChecker(Checker):
         context = request.context
         function = context.lowered
         assert isinstance(function, Function)
-        assert isinstance(context.liveness, LivenessInfo)
+        dense = context.liveness
+        assert isinstance(dense, DenseLivenessInfo)
+        set_of = dense.index.set_of
+        info = LivenessInfo(
+            live_in={label: set_of(mask) for label, mask in dense.live_in.items()},
+            live_out={label: set_of(mask) for label, mask in dense.live_out.items()},
+        )
         registers = context.num_registers
         if registers is None and context.target is not None:
             registers = context.target.num_registers
-        return liveness_diagnostics(function, context.liveness, num_registers=registers)
+        return liveness_diagnostics(function, info, num_registers=registers)

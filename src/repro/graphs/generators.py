@@ -16,8 +16,10 @@ experiment is reproducible.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from bisect import bisect_left, bisect_right
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from repro.errors import GraphError
 from repro.graphs.graph import Graph, Vertex
 
 RandomLike = Union[random.Random, int, None]
@@ -33,6 +35,18 @@ def _rng(seed_or_rng: RandomLike) -> random.Random:
 def _vertex_names(n: int, prefix: str = "v") -> List[str]:
     """Generate ``n`` stable vertex names: v0, v1, ..."""
     return [f"{prefix}{i}" for i in range(n)]
+
+
+def _graph(names: List[str], weights: Sequence[float], edges: Iterable[Tuple[int, int]]) -> Graph:
+    """The graph on ``names`` with the index-pair ``edges``, built as bitmask
+    rows for one :meth:`Graph.from_rows` call."""
+    rows = [0] * len(names)
+    for i, j in edges:
+        if i == j:
+            raise GraphError(f"self-loop on {names[i]!r} is not allowed")
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return Graph.from_rows(names, rows, weights)
 
 
 def random_weights(
@@ -80,18 +94,26 @@ def random_interval_graph(
         start = r.randint(0, span - 1)
         end = min(span, start + 1 + r.randint(0, max_length - 1))
         intervals[v] = (start, end)
-    graph = Graph()
     if weights is None:
         weights = random_weights(names, r)
-    for v in names:
-        graph.add_vertex(v, weights[v])
-    for i, u in enumerate(names):
-        su, eu = intervals[u]
-        for v in names[i + 1 :]:
-            sv, ev = intervals[v]
-            if su < ev and sv < eu:
-                graph.add_edge(u, v)
-    return graph, intervals
+    # u and v overlap iff each starts before the other ends: row u is the
+    # vertices starting before u ends, AND those ending after u starts.
+    spans = [intervals[v] for v in names]
+    by_start = sorted(range(n), key=lambda i: spans[i][0])
+    by_end = sorted(range(n), key=lambda i: spans[i][1])
+    starts = [spans[i][0] for i in by_start]
+    ends = [spans[i][1] for i in by_end]
+    starting_before = [0] * (n + 1)  # [k]: the k earliest-starting vertices
+    for k, i in enumerate(by_start):
+        starting_before[k + 1] = starting_before[k] | 1 << i
+    ending_after = [0] * (n + 1)  # [k]: all but the k earliest-ending vertices
+    for k in range(n - 1, -1, -1):
+        ending_after[k] = ending_after[k + 1] | 1 << by_end[k]
+    rows = [
+        starting_before[bisect_left(starts, end)] & ending_after[bisect_right(ends, start)] & ~(1 << i)
+        for i, (start, end) in enumerate(spans)
+    ]
+    return Graph.from_rows(names, rows, [weights[v] for v in names]), intervals
 
 
 def random_chordal_graph(
@@ -111,21 +133,19 @@ def random_chordal_graph(
     names = _vertex_names(n)
     if weights is None:
         weights = random_weights(names, r)
-    graph = Graph()
-    cliques: List[List[Vertex]] = []
-    for v in names:
-        graph.add_vertex(v, weights[v])
+    edges: List[Tuple[int, int]] = []
+    cliques: List[List[int]] = []
+    for v in range(n):
         if cliques and r.random() < 0.9:
             base = list(r.choice(cliques))
             keep = [u for u in base if r.random() < max(extra_edge_prob, 1.0 / max(len(base), 1))]
             if not keep and base:
                 keep = [r.choice(base)]
-            for u in keep:
-                graph.add_edge(v, u)
+            edges.extend((v, u) for u in keep)
             cliques.append(keep + [v])
         else:
             cliques.append([v])
-    return graph
+    return _graph(names, [weights[v] for v in names], edges)
 
 
 def random_general_graph(
@@ -143,45 +163,28 @@ def random_general_graph(
     names = _vertex_names(n)
     if weights is None:
         weights = random_weights(names, r)
-    graph = Graph()
-    for v in names:
-        graph.add_vertex(v, weights[v])
-    for i, u in enumerate(names):
-        for v in names[i + 1 :]:
-            if r.random() < edge_prob:
-                graph.add_edge(u, v)
-    return graph
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if r.random() < edge_prob]
+    return _graph(names, [weights[v] for v in names], edges)
+
+
+def _unit_weights(names: List[str], weights: Optional[Dict[Vertex, float]]) -> List[float]:
+    """``weights`` per name, 1.0 where it has none."""
+    return [(weights or {}).get(v, 1.0) for v in names]
 
 
 def cycle_graph(n: int, weights: Optional[Dict[Vertex, float]] = None) -> Graph:
     """Build the cycle ``C_n`` — the canonical non-chordal graph for n ≥ 4."""
     names = _vertex_names(n)
-    graph = Graph()
-    for v in names:
-        graph.add_vertex(v, (weights or {}).get(v, 1.0))
-    for i in range(n):
-        graph.add_edge(names[i], names[(i + 1) % n])
-    return graph
+    return _graph(names, _unit_weights(names, weights), ((i, (i + 1) % n) for i in range(n)))
 
 
 def complete_graph(n: int, weights: Optional[Dict[Vertex, float]] = None) -> Graph:
     """Build the complete graph ``K_n`` (maximal register pressure everywhere)."""
     names = _vertex_names(n)
-    graph = Graph()
-    for v in names:
-        graph.add_vertex(v, (weights or {}).get(v, 1.0))
-    for i, u in enumerate(names):
-        for v in names[i + 1 :]:
-            graph.add_edge(u, v)
-    return graph
+    return _graph(names, _unit_weights(names, weights), ((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 def path_graph(n: int, weights: Optional[Dict[Vertex, float]] = None) -> Graph:
     """Build the path ``P_n`` (a tree, hence chordal and 2-colorable)."""
     names = _vertex_names(n)
-    graph = Graph()
-    for v in names:
-        graph.add_vertex(v, (weights or {}).get(v, 1.0))
-    for i in range(n - 1):
-        graph.add_edge(names[i], names[i + 1])
-    return graph
+    return _graph(names, _unit_weights(names, weights), ((i, i + 1) for i in range(n - 1)))

@@ -19,7 +19,7 @@ from repro.alloc.problem import AllocationProblem
 from repro.alloc.result import AllocationResult
 from repro.alloc.verify import FeasibilityReport
 from repro.analysis.live_ranges import LiveInterval
-from repro.analysis.liveness import LivenessInfo
+from repro.analysis.dense import DenseLivenessInfo
 from repro.graphs.graph import Graph, Vertex
 from repro.ir.function import Function
 from repro.targets.machine import TargetMachine
@@ -44,8 +44,8 @@ class PipelineContext:
     num_registers: Optional[int] = None
     #: the lowered function the analyses ran on (SSA or non-SSA form).
     lowered: Optional[Function] = None
-    #: liveness analysis of ``lowered``.
-    liveness: Optional[LivenessInfo] = None
+    #: liveness analysis of ``lowered`` (bitmasks over its register index).
+    liveness: Optional[DenseLivenessInfo] = None
     #: spill-cost map of ``lowered`` (register -> weight).
     costs: Optional[Dict[Any, float]] = None
     #: weighted interference graph.

@@ -227,11 +227,9 @@ class LivenessPass(Pass):
     analysis that needs the lowered function; the pre-lowering input stays
     available as ``context.function``.  Non-SSA lowering destructs SSA with
     φ-web coalescing, then coalesces register copies.  Liveness runs on the
-    bitset kernel (:mod:`repro.analysis.dense`): the produced
-    :class:`~repro.analysis.liveness.LivenessInfo` equals the set-based
-    reference's live-in/live-out sets and carries the dense masks for the
-    interference stage.  Its sets are expanded from the masks only when a
-    block is read (the checker reads them; no default stage does).
+    bitset kernel (:mod:`repro.analysis.dense`), and the context carries its
+    :class:`~repro.analysis.dense.DenseLivenessInfo` as is: no stage reads
+    register sets, and only the liveness checker expands the masks.
     """
 
     name = "liveness"
@@ -245,7 +243,7 @@ class LivenessPass(Pass):
         start = time.perf_counter()
         ssa = construct_ssa(context.function)
         lowered = ssa if spec.ssa else coalesce_copies(destruct_ssa(ssa))
-        info = dense_liveness(lowered).to_info()
+        info = dense_liveness(lowered)
         target = context.target
         costs = spill_costs(
             lowered, store_cost=target.store_cost, load_cost=target.load_cost
@@ -266,9 +264,8 @@ class LivenessPass(Pass):
 class InterferencePass(Pass):
     """Build the weighted interference graph and the live intervals.
 
-    The graph's bitmask rows (the set-based reference's vertices, edges and
-    weights) are built from the liveness stage's dense masks.  A context whose liveness carries no
-    masks (one a caller built by hand) has them computed here.
+    Both come from the dense kernel, reading the liveness stage's
+    :class:`~repro.analysis.dense.DenseLivenessInfo` as it is.
     """
 
     name = "interference"
@@ -280,11 +277,11 @@ class InterferencePass(Pass):
 
     def run(self, context, spec, store=None):
         start = time.perf_counter()
-        dense_info = context.liveness.dense
+        info = context.liveness
         graph = build_interference_graph_dense(
-            context.lowered, info=dense_info, weights=context.costs
+            context.lowered, info=info, weights=context.costs
         )
-        intervals = dense_live_intervals(context.lowered, info=dense_info)
+        intervals = dense_live_intervals(context.lowered, info=info)
         return context.with_stage(
             self.name,
             time.perf_counter() - start,

@@ -58,6 +58,7 @@ from repro.analysis.live_ranges import LiveInterval
 from repro.errors import ReproError, ServiceError
 from repro.graphs.io import graph_from_dict
 from repro.ir.parser import parse_module
+from repro.ir.values import VirtualRegister
 from repro.pipeline.engine import Pipeline
 from repro.pipeline.passes import allocate_cell_key
 from repro.pipeline.spec import PipelineSpec
@@ -201,6 +202,8 @@ def _normalized_intervals(raw: Any) -> Optional[List[List[Any]]]:
     The wire form is ``[[register, start, end], ...]`` — what the
     linear-scan allocator family consumes, and part of the problem digest,
     so a distributed linear-scan sweep keys the same cells as a local one.
+    A register is written as the IR prints it (``%x``); a bare name (``x``)
+    names the same register.
     """
     if raw is None:
         return None
@@ -277,7 +280,10 @@ def _graph_problem(payload: Dict[str, Any]) -> AllocationProblem:
         num_registers=int(payload["registers"]),
         name=payload["name"],
         intervals=(
-            [LiveInterval(str(reg), int(start), int(end)) for reg, start, end in intervals]
+            [
+                LiveInterval(VirtualRegister(reg.removeprefix("%")), int(start), int(end))
+                for reg, start, end in intervals
+            ]
             if intervals
             else None
         ),

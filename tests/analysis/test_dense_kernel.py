@@ -1,25 +1,16 @@
 """Dense bitset kernel: property-level equivalence with the set-based
-reference analyses, worklist convergence, and the φ-edge/frequency bugfix
-regressions that ride along with it."""
+reference analyses (``tests/analysis/set_reference.py`` and
+:func:`repro.analysis.liveness.liveness`), worklist convergence, and the
+φ-edge/frequency bugfix regressions that ride along with it."""
 
 import pytest
 
 from repro.analysis.dense import (
-    DenseLivenessInfo,
     build_interference_graph_dense,
     dense_live_intervals,
-    dense_live_sets_per_instruction,
     dense_liveness,
-    dense_max_live,
 )
-from repro.analysis.interference import build_interference_graph
-from repro.analysis.live_ranges import live_intervals
-from repro.analysis.liveness import (
-    live_sets_per_instruction,
-    liveness,
-    max_live,
-    validate_phi_edges,
-)
+from repro.analysis.liveness import liveness, validate_phi_edges
 from repro.analysis.spill_costs import spill_costs
 from repro.analysis.ssa_construction import construct_ssa
 from repro.analysis.ssa_destruction import coalesce_copies, destruct_ssa
@@ -29,26 +20,24 @@ from repro.ir.instructions import make_copy
 from repro.ir.parser import parse_function
 from repro.ir.values import VirtualRegister
 from repro.oracle.generator import generate_program
+from tests.analysis.set_reference import build_interference_graph, live_intervals
+
+
+def _sets(dense, masks):
+    return {label: dense.index.set_of(mask) for label, mask in masks.items()}
 
 
 def assert_dense_equals_reference(fn, tag):
-    """All four dense analyses must match the set-based reference exactly."""
+    """The dense liveness, intervals and graph must match the set-based
+    reference exactly."""
     info = liveness(fn)
     dense = dense_liveness(fn)
-    converted = dense.to_info()
-    assert converted.live_in == info.live_in, tag
-    assert converted.live_out == info.live_out, tag
-    assert converted.defs == info.defs, tag
-    assert converted.upward_exposed == info.upward_exposed, tag
-    assert converted.dense is dense
+    assert _sets(dense, dense.live_in) == info.live_in, tag
+    assert _sets(dense, dense.live_out) == info.live_out, tag
+    assert _sets(dense, dense.defs) == info.defs, tag
+    assert _sets(dense, dense.upward_exposed) == info.upward_exposed, tag
+    assert list(dense.live_in) == fn.block_labels(), tag
 
-    points = live_sets_per_instruction(fn, info)
-    dense_points = dense_live_sets_per_instruction(fn, dense)
-    assert set(points) == set(dense_points), tag
-    for label, masks in dense_points.items():
-        assert [dense.index.set_of(m) for m in masks] == points[label], (tag, label)
-
-    assert dense_max_live(fn, dense) == max_live(fn, info), tag
     assert dense_live_intervals(fn, dense) == live_intervals(fn, info), tag
 
     costs = spill_costs(fn)

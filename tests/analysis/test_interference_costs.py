@@ -4,8 +4,8 @@ import networkx as nx
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.frequency import block_frequencies
-from repro.analysis.interference import build_interference_graph, register_pressure_by_block
-from repro.analysis.liveness import liveness, max_live
+from repro.analysis.interference import build_interference_graph
+from repro.analysis.liveness import max_live
 from repro.analysis.spill_costs import spill_costs
 from repro.analysis.ssa_construction import construct_ssa
 from repro.graphs.chordal import is_chordal
@@ -75,18 +75,6 @@ def test_interference_weights_follow_spill_costs(loop_function):
         assert graph.weight(reg.name) == cost
 
 
-def test_interference_restricted_to_include_set(diamond_function):
-    include = [VirtualRegister("a"), VirtualRegister("b"), VirtualRegister("c")]
-    graph = build_interference_graph(diamond_function, include=include)
-    assert set(graph.vertices()) == {"a", "b", "c"}
-
-
-def test_register_pressure_by_block(loop_function):
-    pressure = register_pressure_by_block(loop_function)
-    assert pressure["body"] >= 4
-    assert pressure["entry"] >= 1
-
-
 def test_ssa_interference_is_chordal_on_fixtures(diamond_function, loop_function):
     for fn in (diamond_function, loop_function):
         ssa = construct_ssa(fn)
@@ -124,9 +112,8 @@ def test_clique_number_equals_max_live_property(seed):
     profile = GeneratorProfile(statements=20, accumulators=5, loop_depth=2)
     fn = generate_function("prop", profile, rng=seed)
     ssa = construct_ssa(fn)
-    info = liveness(ssa)
-    graph = build_interference_graph(ssa, info=info)
-    assert maximum_clique_size(graph) == max_live(ssa, info)
+    graph = build_interference_graph(ssa)
+    assert maximum_clique_size(graph) == max_live(ssa)
 
 
 # ---------------------------------------------------------------------- #

@@ -1,6 +1,6 @@
 """Tests for liveness analysis, per-point live sets and MaxLive."""
 
-from repro.analysis.liveness import live_sets_per_instruction, liveness, max_live
+from repro.analysis.liveness import liveness, max_live
 from repro.analysis.ssa_construction import construct_ssa
 from repro.ir.parser import parse_function
 from repro.ir.values import VirtualRegister
@@ -58,16 +58,6 @@ def test_liveness_with_phis_uses_edge_semantics(diamond_function):
         assert value not in info.live_in["join"]
 
 
-def test_live_sets_per_instruction(diamond_function):
-    info = liveness(diamond_function)
-    per_point = live_sets_per_instruction(diamond_function, info)
-    entry_points = per_point["entry"]
-    # After the cmp, the condition plus both branches' inputs are live.
-    assert regs("c", "a", "b") <= entry_points[0]
-    # After the terminator nothing new: its point equals the block's live-out.
-    assert entry_points[-1] == info.live_out["entry"]
-
-
 def test_max_live_simple_pressure():
     fn = parse_function(
         """
@@ -114,10 +104,3 @@ def test_max_live_matches_ssa_clique_number(diamond_function, loop_function):
         pressure = max_live(ssa)
         omega = maximum_clique_size(build_interference_graph(ssa))
         assert omega == pressure
-
-
-def test_pressure_at_block_boundaries(loop_function):
-    info = liveness(loop_function)
-    pressure = info.pressure_at_block_boundaries()
-    assert pressure["header"] == len(info.live_in["header"])
-    assert pressure["entry"] == len(info.live_in["entry"])

@@ -7,7 +7,6 @@ import pytest
 from repro.check import CheckError
 from repro.errors import PipelineError
 from repro.ir.parser import parse_function, parse_module
-from repro.ir.values import VirtualRegister
 from repro.oracle.regressions import load_regressions
 from repro.pipeline import Pipeline, PipelineSpec
 from repro.pipeline.passes import Pass, _PASS_REGISTRY, register_pass
@@ -77,9 +76,11 @@ class _CorruptLivenessPass(Pass):
     check_preserves = ("liveness",)
 
     def run(self, context, spec, store=None):
-        context.liveness.live_out[context.lowered.entry_label].add(
-            VirtualRegister("zz")
-        )
+        # Set the bit of a register that is not live out of the entry block.
+        info = context.liveness
+        label = context.lowered.entry_label
+        not_live = ~info.live_out[label] & ((1 << len(info.index)) - 1)
+        info.live_out[label] |= not_live & -not_live
         return context.with_stage(self.name, 0.0)
 
 

@@ -2,6 +2,9 @@
 
 import random
 
+import pytest
+
+from repro.errors import GraphError
 from repro.graphs.chordal import is_chordal
 from repro.graphs.generators import (
     complete_graph,
@@ -12,6 +15,7 @@ from repro.graphs.generators import (
     random_interval_graph,
     random_weights,
 )
+from repro.graphs.io import graph_digest
 
 
 def test_random_weights_are_positive_and_deterministic():
@@ -92,3 +96,49 @@ def test_generators_honor_custom_weights():
     weights = {f"v{i}": float(i + 1) for i in range(4)}
     for graph in (cycle_graph(4, weights), complete_graph(4, weights), path_graph(4, weights)):
         assert graph.weight("v2") == 3.0
+
+
+#: ``graph_digest`` of generated graphs, computed when the generators still
+#: added their edges one ``Graph.add_edge`` call at a time: building the rows
+#: for one ``Graph.from_rows`` call keeps every random draw and every graph.
+PINNED_DIGESTS = {
+    "interval(40, rng=3)": (
+        lambda: random_interval_graph(40, rng=3)[0],
+        "b2d681ea02cc9d65a885ff221ad9ae1fd97231ffafbeeedb99852657c7ce83fb",
+    ),
+    "interval(300, rng=42, span=300, max_length=60)": (
+        lambda: random_interval_graph(300, rng=42, span=300, max_length=60)[0],
+        "bae00523790e6f5743ff32969b05e3f2c058760ed3127fadbd46e840df79a9d0",
+    ),
+    "chordal(50, rng=7)": (
+        lambda: random_chordal_graph(50, rng=7),
+        "46030f0da341ab24c86154d3e006a0f61b0aaf1f5e1efcb418e846c7bb55db72",
+    ),
+    "chordal(200, rng=11, extra_edge_prob=0.5)": (
+        lambda: random_chordal_graph(200, rng=11, extra_edge_prob=0.5),
+        "7db091f0dc1095649767af3ac25ca6ad3d74e1c273ae18f0de20c3d8abccbb0b",
+    ),
+    "general(40, rng=5)": (
+        lambda: random_general_graph(40, rng=5),
+        "79e3789c32f0c7a163f7bc513977fba6a6814373aab3815ef5565c3554a5751e",
+    ),
+    "general(60, rng=9, edge_prob=0.4)": (
+        lambda: random_general_graph(60, rng=9, edge_prob=0.4),
+        "c4a9f5fae52b10009070e64408bba154faf5a61751fb7d445d878fca5b487a0a",
+    ),
+    "cycle(7)": (lambda: cycle_graph(7), "15022a463021fee2e1e325eae8ce05cbcd74997657509c9ec7f8b5e56d7ed67b"),
+    "cycle(2)": (lambda: cycle_graph(2), "f86523056fd73489799d94c8feb4c7c7fb47eb28a26fa42f003318917a689f90"),
+    "complete(6)": (lambda: complete_graph(6), "48d908be68184e70db47875117c481fffe97427408d4a47a3d4fc984d855aed2"),
+    "path(5)": (lambda: path_graph(5), "6dab2825cf1c73543c93c44e2f741a1b3d7cc5f3deef235d3c2c3624c8808775"),
+}
+
+
+@pytest.mark.parametrize("call", sorted(PINNED_DIGESTS))
+def test_generated_graphs_are_pinned(call):
+    build, digest = PINNED_DIGESTS[call]
+    assert graph_digest(build()) == digest
+
+
+def test_cycle_of_one_vertex_is_a_self_loop_error():
+    with pytest.raises(GraphError, match="self-loop on 'v0' is not allowed"):
+        cycle_graph(1)

@@ -1,11 +1,10 @@
 """Shared helpers for the pipeline suite."""
 
-from repro.analysis.interference import build_interference_graph
-from repro.analysis.live_ranges import live_intervals
 from repro.analysis.liveness import liveness
 from repro.analysis.spill_costs import spill_costs
 from repro.analysis.ssa_construction import construct_ssa
 from repro.analysis.ssa_destruction import coalesce_copies, destruct_ssa
+from tests.analysis.set_reference import build_interference_graph, live_intervals
 
 
 def legacy_front_end(function, target, ssa):

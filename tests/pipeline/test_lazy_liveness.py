@@ -1,14 +1,12 @@
-"""The liveness stage's sets are expanded only when something reads them."""
+"""The pipeline carries liveness as dense masks; only the checker expands them."""
 
 from __future__ import annotations
 
 import importlib
 import random
 
-from repro.analysis.dense import dense_liveness
-from repro.analysis.liveness import liveness
+from repro.analysis.dense import DenseLivenessInfo
 from repro.analysis.vr_index import VRIndex
-from repro.ir.values import VirtualRegister
 from repro.pipeline import Pipeline
 from repro.workloads.programs import GeneratorProfile, generate_function
 
@@ -41,22 +39,17 @@ def test_default_compile_never_expands_a_liveness_set(monkeypatch):
     context = Pipeline.from_spec("NL", target="st231", registers=8).run(_function())
     assert context.report.feasible
     assert context.problem.max_pressure > 8  # real spilling work
+    assert isinstance(context.liveness, DenseLivenessInfo)
     assert expanded["n"] == 0
     assert reference["n"] == 0
 
 
-def test_expanded_sets_equal_the_reference_and_keep_in_place_updates():
-    function = _function()
-    info = dense_liveness(function).to_info()
-    reference = liveness(function)
-    label = function.entry_label
-    extra = VirtualRegister("not-live")
-    info.live_out[label].add(extra)
-    assert extra in info.live_out[label]
-    reference.live_out[label].add(extra)
-    assert info.live_in == reference.live_in
-    assert info.live_out == reference.live_out
-    assert info.defs == reference.defs
-    assert info.upward_exposed == reference.upward_exposed
-    assert list(info.live_in) == function.block_labels()
-
+def test_checker_expands_the_masks_into_the_reference_sets(monkeypatch):
+    # check="each" runs the liveness checker after every pass that must
+    # preserve liveness; it raises on LIV001/LIV002, so a clean run means the
+    # expanded masks equal the set-based recomputation block for block.
+    expanded = _count_set_of(monkeypatch)
+    context = Pipeline.from_spec("NL", target="st231", registers=8, check="each").run(_function())
+    assert context.report.feasible
+    assert isinstance(context.liveness, DenseLivenessInfo)
+    assert expanded["n"] > 0
