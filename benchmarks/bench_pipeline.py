@@ -186,10 +186,13 @@ def _time_reference_stages(function, target, stages, repeat):
 
     ``liveness`` is SSA construction, liveness and spill costs;
     ``interference`` is the interference graph and the live intervals —
-    what the two pipeline stages do, on the reference kernels.
+    what the two pipeline stages do, on the reference kernels.  The
+    context carries the ``DenseLivenessInfo`` the pipeline does, computed
+    outside the timed region.
     """
     import time
 
+    from repro.analysis.dense import dense_liveness
     from repro.analysis.spill_costs import spill_costs
     from repro.pipeline import PipelineContext
     from tests.analysis import set_reference
@@ -212,7 +215,7 @@ def _time_reference_stages(function, target, stages, repeat):
             target=target,
             num_registers=8,
             lowered=lowered,
-            liveness=info,
+            liveness=dense_liveness(lowered),
             costs=costs,
             graph=graph,
             intervals=intervals,

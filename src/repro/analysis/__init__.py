@@ -44,7 +44,7 @@ from repro.analysis.dense import (
     dense_live_intervals,
     dense_liveness,
 )
-from repro.analysis.live_ranges import LiveInterval, live_intervals, number_instructions
+from repro.analysis.live_ranges import LiveInterval, live_intervals
 from repro.analysis.ssa_construction import construct_ssa
 from repro.analysis.ssa_destruction import destruct_ssa
 from repro.analysis.interference import build_interference_graph
@@ -74,7 +74,6 @@ __all__ = [
     "build_interference_graph_dense",
     "LiveInterval",
     "live_intervals",
-    "number_instructions",
     "construct_ssa",
     "destruct_ssa",
     "build_interference_graph",

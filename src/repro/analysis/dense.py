@@ -277,13 +277,13 @@ def dense_live_intervals(
 ) -> List[LiveInterval]:
     """Linearised live intervals, computed from the dense liveness masks.
 
-    A register's interval runs from the first program point where it is
-    defined or live to the last point where it is used or live, on the
-    numbering of :func:`repro.analysis.live_ranges.number_instructions`;
-    a register live across a block covers the whole block.  Its start/end
-    *block* falls out of two mask sweeps (first/last block whose occurrence
-    mask contains it) and only the position inside those two blocks is
-    resolved per register.
+    Program points number every φ and instruction in block layout order,
+    one point each (a block's φs come before its instructions).  A
+    register's interval runs from the first point where it is defined or
+    live to the last point where it is used or live; a register live across
+    a block covers the whole block.  Its start/end *block* falls out of two
+    mask sweeps (first/last block whose occurrence mask contains it) and
+    only the position inside those two blocks is resolved per register.
     """
     from repro.analysis.live_ranges import LiveInterval
 

@@ -2,10 +2,11 @@
 
 The linear scan (LS) and its Belady variant (BLS) evaluated in the paper's
 non-chordal experiments do not work on an interference graph: they scan
-*live intervals* over a linear instruction numbering.  This module assigns
-each instruction a number (in block layout order) and computes, for every
-virtual register, the conservative interval ``[start, end]`` covering every
-program point where the register is live — exactly the Poletto–Sarkar model.
+*live intervals* over a linear instruction numbering.  The intervals
+number every φ and instruction in block layout order, one program point
+each, and give every virtual register the conservative interval
+``[start, end]`` covering every program point where it is live — exactly
+the Poletto–Sarkar model.
 
 The interval builder is the dense kernel's
 (:func:`repro.analysis.dense.dense_live_intervals`), exported here as
@@ -16,11 +17,9 @@ The interval builder is the dense kernel's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import List, Set, Tuple
 
 from repro.analysis.dense import dense_live_intervals
-from repro.ir.function import Function
-from repro.ir.instructions import Instruction
 from repro.ir.values import VirtualRegister
 
 
@@ -39,25 +38,6 @@ class LiveInterval:
     def length(self) -> int:
         """Number of program points covered."""
         return self.end - self.start + 1
-
-
-def number_instructions(function: Function) -> Dict[int, Tuple[str, Instruction]]:
-    """Assign consecutive numbers to instructions in block layout order.
-
-    φ-functions share the number of the first ordinary instruction of their
-    block (they execute "at the top"), matching how linear-scan
-    implementations treat them.
-    """
-    numbering: Dict[int, Tuple[str, Instruction]] = {}
-    counter = 0
-    for block in function:
-        for phi in block.phis:
-            numbering[counter] = (block.label, phi)
-            counter += 1
-        for instruction in block.instructions:
-            numbering[counter] = (block.label, instruction)
-            counter += 1
-    return numbering
 
 
 live_intervals = dense_live_intervals

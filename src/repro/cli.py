@@ -1372,8 +1372,13 @@ def _batch_body(args: argparse.Namespace) -> dict:
     The manifest is ``{"jobs": [...]}`` plus optional batch-level ``name``,
     ``client``, ``priority`` and ``max_attempts``.  Each entry is a
     submission body; ``"input": PATH`` (relative to the manifest file)
-    loads a ``.ir`` module or graph JSON into the entry in place.
+    loads a ``.ir`` module or graph JSON into the entry in place.  The body
+    carries each distinct graph once, in its ``graphs`` table
+    (:func:`~repro.service.api.graph_table`): entries that load the same
+    graph file under the same name share one entry.
     """
+    from repro.service.api import graph_table
+
     manifest_path = Path(args.batch)
     if not manifest_path.is_file():
         raise ReproError(f"batch manifest not found: {args.batch}")
@@ -1389,6 +1394,8 @@ def _batch_body(args: argparse.Namespace) -> dict:
     for position, entry in enumerate(manifest["jobs"]):
         if not isinstance(entry, dict):
             raise ReproError(f"batch manifest entry {position} must be a JSON object")
+        if "graph" in entry and not isinstance(entry["graph"], dict):
+            raise ReproError(f'batch manifest entry {position}: "graph" must be a graph-JSON object')
         entry = dict(entry)
         input_path = entry.pop("input", None)
         if input_path is not None:
@@ -1408,7 +1415,10 @@ def _batch_body(args: argparse.Namespace) -> dict:
                 entry["ir"] = resolved.read_text(encoding="utf-8")
             entry.setdefault("name", name)
         jobs.append(entry)
+    graphs, jobs = graph_table(jobs)
     body: dict = {"jobs": jobs}
+    if graphs:
+        body["graphs"] = graphs
     for field in ("name", "client", "priority", "max_attempts"):
         if field in manifest:
             body[field] = manifest[field]

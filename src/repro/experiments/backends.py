@@ -113,14 +113,15 @@ class ServiceBackend(ExecutionBackend):
 
     Every missing cell becomes one graph submission (the problem's
     interference graph, intervals when present, register count and
-    allocator).  Each planned instance's graph and intervals are encoded
-    once and shared by the submissions of all its cells.  Submissions are
-    grouped into batches of ``batch_size`` and posted round-robin across
-    ``endpoints`` as ``POST /v1/batches`` jobs — one queue job per batch,
-    claimed as a unit by one service worker.  All batches are submitted
-    before any is polled, so the whole fleet drains in parallel; results
-    are rehydrated into :class:`InstanceRecord`\\ s and handed to the
-    runner's ``emit`` for keying and persistence.
+    allocator).  Submissions are grouped into batches of ``batch_size`` and
+    posted round-robin across ``endpoints`` as ``POST /v1/batches`` jobs —
+    one queue job per batch, claimed as a unit by one service worker.  A
+    batch carries each planned instance's graph once, in its ``graphs``
+    table, and its members index that table; intervals travel with each
+    member.  All batches are submitted before any is polled, so the whole
+    fleet drains in parallel; results are rehydrated into
+    :class:`InstanceRecord`\\ s and handed to the runner's ``emit`` for
+    keying and persistence.
 
     ``runtime_seconds`` of service-computed records is ``0.0`` — the wall
     time was spent on another machine and is deliberately not passed off as
@@ -164,7 +165,7 @@ class ServiceBackend(ExecutionBackend):
     # ------------------------------------------------------------------ #
     def _submissions(self, problem: AllocationProblem, cells: Sequence["runner.Cell"]) -> List[Dict]:
         """One graph submission per cell of ``problem``, all sharing one
-        encoding of its graph and intervals."""
+        graph document and one interval list."""
         if problem.constraints is not None:
             raise ServiceError(
                 f"cannot distribute constrained problem {problem.name!r}: "
@@ -189,6 +190,8 @@ class ServiceBackend(ExecutionBackend):
         config: "runner.ExperimentConfig",
         emit: EmitFn,
     ) -> None:
+        from repro.service.api import graph_table
+
         tracer = current_tracer()
         entries: List[Tuple[int, "runner.Cell", AllocationProblem, str, Dict]] = [
             (index, cell, problem, program, body)
@@ -205,8 +208,10 @@ class ServiceBackend(ExecutionBackend):
             position = batch_index // self.batch_size
             client = self._clients[position % len(self._clients)]
             endpoint = self.endpoints[position % len(self.endpoints)]
+            graphs, jobs = graph_table([body for *_, body in batch])
             body = {
-                "jobs": [body for *_, body in batch],
+                "graphs": graphs,
+                "jobs": jobs,
                 "client": self.client,
                 "priority": self.priority,
                 "name": f"sweep-batch-{position:05d}",

@@ -29,15 +29,26 @@ cells are already cached completes without invoking an allocator at all.
 
 Batches (``POST /v1/batches``)
 ------------------------------
-A batch key digests the sorted member keys.  A single job goes through the
-same member code as a batch of one.  Graph members with the same name,
-graph and intervals share one :class:`AllocationProblem`: it is built once
-and cloned per register count with
-:meth:`~repro.alloc.problem.AllocationProblem.with_registers`, once for the
-key at submit and once at execution.  Its digest, elimination order and
-cliques are therefore computed once per distinct graph, not once per
-member; a sweep batch of one instance's cells builds one graph.  IR members
-run the front end per member.
+A batch body may carry a graph table, ``"graphs": [<graph-JSON>, ...]``,
+and a member's ``"graph"`` may then be an integer index into it instead of
+an inline document, so a sweep batch of one instance's cells sends that
+instance's graph once.  Every member is validated with its resolved graph,
+exactly like a single job.  The queued payload holds one table too
+(:func:`graph_table`): each distinct graph once, in order of first
+reference, inline member graphs hoisted into it and equal documents sharing
+one entry; its members hold indices.  A batch queued before the table
+existed (inline graphs, no table) is read through the same helper when it
+is claimed, so it runs to the same results.
+
+A batch key digests the sorted member keys, which digest the cells the
+members resolve to, so a batch posted inline and as a table shares one key.
+A single job goes through the same member code as a batch of one.  Graph
+members with the same table entry, name and intervals share one
+:class:`AllocationProblem`: it is built once and cloned per register count
+with :meth:`~repro.alloc.problem.AllocationProblem.with_registers`, once
+for the key at submit and once at execution.  Its digest, elimination order
+and cliques are therefore computed once per distinct graph, not once per
+member.  IR members run the front end per member.
 
 :func:`execute_job` returns ``result["functions"]`` built from the
 *deterministic* subset of each pipeline summary (timings and per-stage
@@ -50,7 +61,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.alloc.base import get_allocator
 from repro.alloc.problem import AllocationProblem
@@ -90,7 +101,7 @@ _ALLOWED_FIELDS = {
     "intervals",
 }
 
-_BATCH_ALLOWED_FIELDS = {"jobs", "name", "client", "priority", "max_attempts"}
+_BATCH_ALLOWED_FIELDS = {"jobs", "graphs", "name", "client", "priority", "max_attempts"}
 
 
 def _require_bool(body: Dict[str, Any], field: str, default: bool) -> bool:
@@ -165,6 +176,11 @@ def normalize_submission(body: Any) -> Dict[str, Any]:
         payload["name"] = str(body.get("name", "module"))
     else:
         graph = body["graph"]
+        if isinstance(graph, int) and not isinstance(graph, bool):
+            raise ServiceError(
+                'field "graph" is an index into a batch\'s "graphs" table; '
+                "a single job must carry the graph-JSON object"
+            )
         if not isinstance(graph, dict):
             raise ServiceError('field "graph" must be a graph-JSON object')
         if registers is None:
@@ -228,10 +244,13 @@ def _normalized_intervals(raw: Any) -> Optional[List[List[Any]]]:
 def normalize_batch(body: Any) -> Dict[str, Any]:
     """Validate a ``POST /v1/batches`` body into one batch queue payload.
 
-    A batch is ``{"jobs": [submission, ...]}`` plus the optional batch-level
-    ``name``, ``client``, ``priority`` and ``max_attempts`` (member-level
-    queue controls are rejected — the batch is claimed and scheduled as a
-    single unit by one worker, so scheduling knobs live on the batch).
+    A batch is ``{"jobs": [submission, ...]}`` plus the optional graph
+    table ``graphs`` and the batch-level ``name``, ``client``, ``priority``
+    and ``max_attempts`` (member-level queue controls are rejected — the
+    batch is claimed and scheduled as a single unit by one worker, so
+    scheduling knobs live on the batch).  A member's ``"graph"`` is an
+    inline document or an index into ``graphs``; every table entry must be
+    referenced.  The payload holds the table :func:`graph_table` builds.
     """
     if not isinstance(body, dict):
         raise ServiceError(f"batch must be a JSON object, got {type(body).__name__}")
@@ -245,10 +264,19 @@ def normalize_batch(body: Any) -> Dict[str, Any]:
         raise ServiceError('batch field "jobs" must be a non-empty list of submissions')
     if len(jobs) > MAX_BATCH_JOBS:
         raise ServiceError(f"batch of {len(jobs)} jobs exceeds the limit of {MAX_BATCH_JOBS}")
+    table = body.get("graphs", [])
+    if not isinstance(table, list):
+        raise ServiceError('batch field "graphs" must be a list of graph-JSON objects')
+    for slot, graph in enumerate(table):
+        if not isinstance(graph, dict):
+            raise ServiceError(
+                f"batch graph entry {slot} must be a graph-JSON object, got {type(graph).__name__}"
+            )
     priority = _require_int(body, "priority") or 0
     max_attempts = _require_int(body, "max_attempts")
     if max_attempts is not None and max_attempts < 1:
         raise ServiceError(f"max_attempts must be >= 1, got {max_attempts}")
+    referenced: Set[int] = set()
     members: List[Dict[str, Any]] = []
     for position, entry in enumerate(jobs):
         if isinstance(entry, dict):
@@ -258,25 +286,69 @@ def normalize_batch(body: Any) -> Dict[str, Any]:
                     f"batch member {position} carries queue control(s) {controls}; "
                     "set them on the batch itself"
                 )
+            index = entry.get("graph")
+            if "graph" in entry and not isinstance(index, dict):
+                if isinstance(index, bool) or not isinstance(index, int):
+                    raise ServiceError(
+                        f'batch member {position}: field "graph" must be a graph-JSON object '
+                        f'or an integer index into "graphs", got {index!r}'
+                    )
+                if not 0 <= index < len(table):
+                    raise ServiceError(
+                        f"batch member {position}: graph index {index} is out of range "
+                        f'for "graphs" of length {len(table)}'
+                    )
+                referenced.add(index)
+                entry = {**entry, "graph": table[index]}
         try:
             members.append(normalize_submission(entry))
         except ServiceError as error:
             raise ServiceError(f"batch member {position}: {error}") from None
+    unreferenced = sorted(set(range(len(table))) - referenced)
+    if unreferenced:
+        raise ServiceError(f"batch graph entry {unreferenced[0]} is referenced by no member")
+    graphs, members = graph_table(members)
     return {
         "kind": "batch",
         "name": str(body.get("name", "batch")),
         "client": str(body.get("client", "")),
         "priority": priority,
         "max_attempts": max_attempts,
+        "graphs": graphs,
         "jobs": members,
     }
 
 
-def _graph_problem(payload: Dict[str, Any]) -> AllocationProblem:
-    """Rebuild the :class:`AllocationProblem` of a graph-kind payload."""
+def graph_table(members: List[Dict[str, Any]]) -> Tuple[List[Dict[str, Any]], List[Dict[str, Any]]]:
+    """Hoist the members' inline graphs into one table.
+
+    Returns ``(graphs, members)``: each distinct graph document once, in
+    order of first reference (the same object or an equal document share
+    one entry), and the members with each inline ``"graph"`` replaced by
+    its index.  Members without an inline graph are passed through.  The
+    batch clients build their ``POST /v1/batches`` tables with it, and the
+    service its queued payloads.
+    """
+    graphs: List[Dict[str, Any]] = []
+    hoisted: List[Dict[str, Any]] = []
+    for member in members:
+        graph = member.get("graph")
+        if not isinstance(graph, dict):
+            hoisted.append(member)
+            continue
+        slot = next((i for i, entry in enumerate(graphs) if entry is graph or entry == graph), None)
+        if slot is None:
+            slot = len(graphs)
+            graphs.append(graph)
+        hoisted.append({**member, "graph": slot})
+    return graphs, hoisted
+
+
+def _graph_problem(payload: Dict[str, Any], graph: Dict[str, Any]) -> AllocationProblem:
+    """Rebuild the :class:`AllocationProblem` of a graph member on ``graph``."""
     intervals = payload.get("intervals")
     return AllocationProblem(
-        graph=graph_from_dict(payload["graph"]),
+        graph=graph_from_dict(graph),
         num_registers=int(payload["registers"]),
         name=payload["name"],
         intervals=(
@@ -295,32 +367,45 @@ def _members(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
     return payload["jobs"] if payload.get("kind") == "batch" else [payload]
 
 
-def _same_problem(a: Dict[str, Any], b: Dict[str, Any]) -> bool:
-    """Whether two graph members differ at most in allocator and registers."""
-    return (
-        a["name"] == b["name"]
-        and a.get("intervals") == b.get("intervals")
-        and a["graph"] == b["graph"]
-    )
+def _tabled(payload: Dict[str, Any]) -> Tuple[List[Dict[str, Any]], List[Dict[str, Any]]]:
+    """A payload's graph table and its members, whose graphs index it.
+
+    :func:`normalize_batch` writes both.  A single job, and a batch queued
+    before payloads carried a table, have their inline graphs hoisted here,
+    so every payload in the queue runs the same way.
+    """
+    if "graphs" in payload:
+        return payload["graphs"], payload["jobs"]
+    return graph_table(_members(payload))
 
 
-def _graph_problems(members: List[Dict[str, Any]]) -> Iterator[Optional[AllocationProblem]]:
+def _graph_problems(
+    graphs: List[Dict[str, Any]], members: List[Dict[str, Any]]
+) -> Iterator[Optional[AllocationProblem]]:
     """Each member's graph problem, in order (``None`` for an IR member).
 
-    Graph members with the same name, graph and intervals share one
+    Graph members with the same table entry, name and intervals share one
     problem: it is built once and cloned per register count with
     :meth:`~AllocationProblem.with_registers`, as a local sweep does, so
-    the clones share its digest, elimination order and cliques.  Comparing
-    the decoded documents costs far less than rebuilding the graph.
+    the clones share its digest, elimination order and cliques.
     """
     built: List[Tuple[Dict[str, Any], AllocationProblem]] = []
     for member in members:
         if member["kind"] != "graph":
             yield None
             continue
-        shared = next((problem for other, problem in built if _same_problem(other, member)), None)
+        shared = next(
+            (
+                problem
+                for other, problem in built
+                if other["graph"] == member["graph"]
+                and other["name"] == member["name"]
+                and other.get("intervals") == member.get("intervals")
+            ),
+            None,
+        )
         if shared is None:
-            problem = _graph_problem(member)
+            problem = _graph_problem(member, graphs[member["graph"]])
             built.append((member, problem))
             yield problem
         else:
@@ -357,11 +442,11 @@ def submission_problems(payload: Dict[str, Any]) -> List[List[Tuple[str, Allocat
     match what the worker later keys the cache with.  Raises
     :class:`ServiceError` on parse/build failures.
     """
-    members = _members(payload)
+    graphs, members = _tabled(payload)
     try:
         return [
             _front_end_problems(member) if problem is None else [(member["name"], problem)]
-            for member, problem in zip(members, _graph_problems(members))
+            for member, problem in zip(members, _graph_problems(graphs, members))
         ]
     except ServiceError:
         raise
@@ -423,13 +508,14 @@ def execute_job(payload: Dict[str, Any], store: Any) -> Dict[str, Any]:
     like any single job) and returns ``{"jobs": [{"name", "functions",
     "records", "meta"}, ...], "meta": {...}}`` with the member cache splits
     and stage seconds aggregated into the batch-level ``meta``.  Graph
-    members with the same name, graph and intervals run on clones of one
-    problem, so each distinct graph is built and analysed once per batch.
+    members with the same table entry, name and intervals run on clones of
+    one problem, so each distinct graph is built and analysed once per
+    batch.
     """
-    members = _members(payload)
+    graphs, members = _tabled(payload)
     results = [
         _execute_member(member, problem, store)
-        for member, problem in zip(members, _graph_problems(members))
+        for member, problem in zip(members, _graph_problems(graphs, members))
     ]
     if payload.get("kind") != "batch":
         return results[0]

@@ -12,8 +12,12 @@ POST      ``/v1/jobs``           submit (201 created, 200 deduped,
                                  400 malformed)
 POST      ``/v1/batches``        submit a multi-submission batch, claimed
                                  as one unit by a single worker (same
-                                 status codes as ``/v1/jobs``); members
-                                 with the same graph share one problem
+                                 status codes as ``/v1/jobs``); an
+                                 optional ``graphs`` table carries each
+                                 graph once and a member's ``graph`` may
+                                 index it (400 on a malformed table or
+                                 index); members with the same graph
+                                 share one problem
 GET       ``/v1/jobs/<id>``      one job (404 unknown)
 GET       ``/v1/jobs``           newest-first listing (``?state=``,
                                  ``?limit=``, an integer >= 1; 400

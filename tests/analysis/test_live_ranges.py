@@ -5,7 +5,6 @@ from repro.analysis.live_ranges import (
     interval_pressure,
     intervals_to_interference,
     live_intervals,
-    number_instructions,
 )
 from repro.analysis.liveness import max_live
 from repro.analysis.ssa_construction import construct_ssa
@@ -15,14 +14,6 @@ from repro.ir.values import VirtualRegister
 
 def interval_map(intervals):
     return {interval.register.name: interval for interval in intervals}
-
-
-def test_number_instructions_sequential(diamond_function):
-    numbering = number_instructions(diamond_function)
-    assert sorted(numbering) == list(range(diamond_function.num_instructions()))
-    labels = [label for label, _ in numbering.values()]
-    assert labels[0] == "entry"
-    assert labels[-1] == "join"
 
 
 def test_live_interval_overlap_and_length():
@@ -57,8 +48,9 @@ entry:
 
 def test_intervals_cover_loop_blocks(loop_function):
     intervals = interval_map(live_intervals(loop_function))
-    numbering = number_instructions(loop_function)
-    loop_points = [point for point, (label, _) in numbering.items() if label in ("header", "body")]
+    # Every φ and instruction is one program point, in block layout order.
+    labels = [block.label for block in loop_function for _ in (*block.phis, *block.instructions)]
+    loop_points = [point for point, label in enumerate(labels) if label in ("header", "body")]
     # sum is live across the whole loop.
     assert intervals["sum"].start <= min(loop_points)
     assert intervals["sum"].end >= max(loop_points)

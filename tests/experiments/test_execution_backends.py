@@ -18,9 +18,10 @@ from repro.alloc.problem import AllocationProblem
 from repro.analysis.live_ranges import LiveInterval
 from repro.errors import ServiceError
 from repro.experiments.backends import LocalPoolBackend, ServiceBackend
-from repro.experiments.runner import ExperimentConfig, run_experiment
+from repro.experiments.runner import ExperimentConfig, run_cells, run_experiment
 from repro.graphs.generators import random_chordal_graph, random_interval_graph
-from repro.service.server import AllocationService
+from repro.ir.values import VirtualRegister
+from repro.service.server import MAX_BODY_BYTES, AllocationService
 from repro.store import open_store
 from repro.telemetry import Tracer, use_tracer
 
@@ -125,8 +126,9 @@ class _RecordingClient:
 
 
 #: SHA-256 of the request bodies of the two-instance plan below, one per
-#: line, as sent when every cell encoded its own graph.
-TWO_INSTANCE_REQUESTS = "b4ca7bdcfa0d96ec24c4f981f630513690a33e6565b536884e9e16d9ed2fa714"
+#: line: each batch carries each instance's graph once, in its ``graphs``
+#: table.
+TWO_INSTANCE_REQUESTS = "f0a01d120e5f1bb9086f97ec2e66252acb2f310a9187f52e53aa4b9b0b199adf"
 
 
 def test_service_backend_request_bytes_pinned_by_value():
@@ -154,6 +156,55 @@ def test_service_backend_request_bytes_pinned_by_value():
 # ---------------------------------------------------------------------- #
 # service backend: end-to-end against a real fleet
 # ---------------------------------------------------------------------- #
+#: the job key of the window below, computed when every member carried its
+#: own copy of the graph.
+WINDOW_KEY = "3c8eb2b2331de510b80ded136c8a14dd2eb0a28abf1f0167b4c9a871023604e6"
+
+
+def test_one_instance_window_queues_its_graph_once(tmp_path):
+    problem = AllocationProblem(graph=random_chordal_graph(24, rng=9), num_registers=4, name="window")
+    config = _config(allocators=["NL", "BL", "FPL", "BFPL"], register_counts=list(range(1, 9)))
+    with open_store(tmp_path / "local.sqlite") as store:
+        local = run_experiment([problem], config, store=store)
+    service = AllocationService(tmp_path / "fleet.sqlite", workers=1, port=0).start()
+    try:
+        with open_store(tmp_path / "via-service.sqlite") as store:
+            served = run_experiment([problem], config, store=store, backend=ServiceBackend([service.url]))
+        (job,) = service.queue.list_jobs()
+    finally:
+        service.shutdown()
+    assert _key(served) == _key(local)
+    assert len(job.payload["jobs"]) == 32
+    assert job.payload_json.count('"repro-interference-graph"') == 1
+    assert job.job_key == WINDOW_KEY
+
+
+def test_window_too_large_to_send_inline_completes_as_a_table(tmp_path):
+    """32 cells of a 500-vertex graph: every member carrying its own copy
+    of the graph makes a body over the server's limit."""
+    graph, spans = random_interval_graph(500, rng=500, span=400, max_length=60)
+    problem = AllocationProblem(
+        graph=graph,
+        num_registers=8,
+        name="wide",
+        intervals=[LiveInterval(VirtualRegister(str(v)), start, end) for v, (start, end) in sorted(spans.items(), key=str)],
+    )
+    cells = [(registers, allocator) for registers in (4, 6, 8, 10, 12, 16, 20, 24) for allocator in ("NL", "BFPL", "GC", "LS")]
+    backend = ServiceBackend(["http://127.0.0.1:1"], client_factory=lambda url: None)
+    assert len(json.dumps({"jobs": backend._submissions(problem, cells)})) > MAX_BODY_BYTES
+
+    service = AllocationService(tmp_path / "fleet.sqlite", workers=1, port=0).start()
+    try:
+        pairs = []
+        ServiceBackend([service.url], timeout=120.0).run_plan(
+            [(0, problem, "prog", cells)], _config(), lambda index, emitted: pairs.extend(emitted)
+        )
+    finally:
+        service.shutdown()
+    assert [cell for cell, _ in pairs] == cells
+    assert _key(record for _, record in pairs) == _key(run_cells(problem, cells, program="prog", verify=False))
+
+
 def test_service_sweep_matches_local_and_warm_rerun_computes_nothing(tmp_path):
     problems = _problems(count=5)
     config = _config()

@@ -1,5 +1,6 @@
 """Shared helpers for the pipeline suite."""
 
+from repro.analysis.dense import dense_liveness
 from repro.analysis.liveness import liveness
 from repro.analysis.spill_costs import spill_costs
 from repro.analysis.ssa_construction import construct_ssa
@@ -13,7 +14,10 @@ def legacy_front_end(function, target, ssa):
     Returns the context fields the ``liveness`` and ``interference`` stages
     provide (``lowered``, ``liveness``, ``costs``, ``graph``, ``intervals``).
     Frozen here as the reference the golden and dense-parity suites compare
-    the pipeline against.
+    the pipeline against.  The set-based liveness feeds the set-based
+    builders; the context's ``liveness`` field holds the
+    ``DenseLivenessInfo`` the pipeline carries, so the context passes the
+    checkers too.
     """
     lowered = construct_ssa(function)
     if not ssa:
@@ -22,7 +26,7 @@ def legacy_front_end(function, target, ssa):
     costs = spill_costs(lowered, store_cost=target.store_cost, load_cost=target.load_cost)
     return {
         "lowered": lowered,
-        "liveness": info,
+        "liveness": dense_liveness(lowered),
         "costs": costs,
         "graph": build_interference_graph(lowered, info=info, weights=costs),
         "intervals": live_intervals(lowered, info=info),

@@ -27,8 +27,8 @@ def _functions():
     return fns
 
 
-def _spec(allocator, ssa):
-    return PipelineSpec(allocator=allocator, target="st231", registers=4, ssa=ssa)
+def _spec(allocator, ssa, check="off"):
+    return PipelineSpec(allocator=allocator, target="st231", registers=4, ssa=ssa, check=check)
 
 
 def _run(fn, allocator, ssa, store=None):
@@ -37,9 +37,9 @@ def _run(fn, allocator, ssa, store=None):
         return pipe.run(fn)
 
 
-def _run_reference(fn, allocator, ssa, store=None):
+def _run_reference(fn, allocator, ssa, store=None, check="off"):
     """The same chain on the set-based front end, entered at ``extract``."""
-    spec = _spec(allocator, ssa)
+    spec = _spec(allocator, ssa, check)
     target = spec.resolve_target()
     context = PipelineContext(
         function=fn,
@@ -97,3 +97,12 @@ def test_reference_pipeline_hits_cells_warmed_by_the_dense_kernel(tmp_path):
     assert warm2.stage_stats["allocate"]["cache"] == "miss"
     served2 = _run(fn2, "NL", True, store=store)
     assert served2.stage_stats["allocate"]["cache"] == "hit"
+
+
+@pytest.mark.parametrize("ssa", [True, False])
+def test_reference_context_runs_under_every_checker(ssa):
+    """The reference context carries the pipeline's ``DenseLivenessInfo``,
+    so the liveness checker reads it like a pipeline-built one."""
+    fn = _functions()[0]
+    checked = _run_reference(fn, "NL", ssa, check="each")
+    assert checked.result.spilled == _run(fn, "NL", ssa).result.spilled

@@ -6,6 +6,10 @@
   ``records`` payload every member result carries;
 * shared graph problems: members with the same graph build it once for
   the key and once at execution, with keys and results unchanged;
+* the graph table: a batch posted inline and as a table shares one key and
+  one stored form, which holds each distinct graph once; a batch row queued
+  in the form without a table still runs to the same results; every
+  malformed table or index is a typed error (HTTP 400 over the wire);
 * end-to-end batch over HTTP: one queue job, claimed as a unit, member
   results in submission order;
 * per-client fairness: a flood from one client cannot starve another
@@ -17,6 +21,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import sqlite3
 import time
 
@@ -128,9 +134,11 @@ def test_single_job_results_now_carry_records(tmp_path):
 # ---------------------------------------------------------------------- #
 # shared graph problems
 # ---------------------------------------------------------------------- #
-def _graph_batch():
+def _graph_batch_body(table=False):
     """Twelve graph members over two graphs, interleaved: each graph under
-    NL and BFPL at R = 2, 3 and 4.  The second graph carries intervals."""
+    NL and BFPL at R = 2, 3 and 4.  The second graph carries intervals.
+    With ``table``, the graphs travel once in ``"graphs"`` and the members
+    index them."""
     first = graph_to_dict(random_chordal_graph(18, rng=3), name="first")
     graph, intervals = random_interval_graph(16, rng=5, span=40, max_length=10)
     second = graph_to_dict(graph, name="second")
@@ -138,9 +146,18 @@ def _graph_batch():
     members = []
     for registers in (2, 3, 4):
         for allocator in ("NL", "BFPL"):
-            members.append({"graph": first, "registers": registers, "allocator": allocator})
-            members.append({"graph": second, "intervals": wire, "registers": registers, "allocator": allocator})
-    return normalize_batch({"jobs": members, "name": "shared"})
+            members.append({"graph": 0 if table else first, "registers": registers, "allocator": allocator})
+            members.append(
+                {"graph": 1 if table else second, "intervals": wire, "registers": registers, "allocator": allocator}
+            )
+    body = {"jobs": members, "name": "shared"}
+    if table:
+        body["graphs"] = [first, second]
+    return body
+
+
+def _graph_batch():
+    return normalize_batch(_graph_batch_body())
 
 
 #: the key of ``_graph_batch()``.  The second graph's intervals name their
@@ -168,7 +185,7 @@ def test_shared_problems_keep_the_batch_key_and_member_results(tmp_path):
         batch = execute_job(payload, store)
     for position, member in enumerate(payload["jobs"]):
         with open_store(tmp_path / f"alone-{position}.sqlite") as store:
-            alone = execute_job(member, store)
+            alone = execute_job({**member, "graph": payload["graphs"][member["graph"]]}, store)
         shared = batch["jobs"][position]
         assert shared["name"] == member["name"]
         assert (shared["functions"], shared["records"]) == (alone["functions"], alone["records"])
@@ -182,6 +199,130 @@ def test_malformed_member_graph_keeps_its_submit_error():
     )
     with pytest.raises(ServiceError, match=r"^invalid submission: edge \('g0', 'nowhere'\) references unknown vertex$"):
         job_key(payload)
+
+
+# ---------------------------------------------------------------------- #
+# the graph table
+# ---------------------------------------------------------------------- #
+def _graph_documents(payload):
+    return dumps_payload(payload).count('"repro-interference-graph"')
+
+
+def test_inline_and_table_batches_share_the_key_and_the_stored_form():
+    inline = _graph_batch()
+    tabled = normalize_batch(_graph_batch_body(table=True))
+    assert job_key(inline) == job_key(tabled) == GRAPH_BATCH_KEY
+    assert tabled == inline
+    assert [graph["name"] for graph in tabled["graphs"]] == ["first", "second"]
+    assert [member["graph"] for member in tabled["jobs"]] == [0, 1] * 6
+    assert _graph_documents(tabled) == 2
+
+
+def test_equal_table_entries_and_inline_graphs_share_one_entry():
+    body = _graph_batch_body(table=True)
+    first, second = body["graphs"]
+    # A copy of ``first`` in the table and an inline copy of ``second``.
+    body["graphs"].append(json.loads(json.dumps(first)))
+    body["jobs"][0]["graph"] = 2
+    body["jobs"][1]["graph"] = json.loads(json.dumps(second))
+    payload = normalize_batch(body)
+    assert payload == _graph_batch()
+    assert _graph_documents(payload) == 2
+
+
+#: SHA-256 of the queue payload ``normalize_batch(_graph_batch_body())``
+#: wrote before payloads carried a graph table: every member inline.
+UNTABLED_FORM_DIGEST = "827fb094e981b4f27792405e8a1df7522274f50ad9491e4159618b7f92782c9a"
+
+
+def _untabled_form(payload):
+    """``payload`` with each member's graph inline again and no table."""
+    graphs = payload["graphs"]
+    jobs = [{**member, "graph": graphs[member["graph"]]} if member["kind"] == "graph" else member
+            for member in payload["jobs"]]
+    return {**{field: value for field, value in payload.items() if field != "graphs"}, "jobs": jobs}
+
+
+def _run_queued(service, payload, key):
+    job, _ = service.queue.enqueue(payload, job_key=key, client="legacy")
+    service.pool.notify()
+    deadline = time.monotonic() + 60.0
+    while not service.job(job.id).terminal:
+        assert time.monotonic() < deadline, "queued batch did not finish"
+        time.sleep(0.02)
+    return service.job(job.id)
+
+
+def test_batch_row_queued_without_a_table_runs_like_its_table_form(tmp_path):
+    payload = _graph_batch()
+    legacy = _untabled_form(payload)
+    assert hashlib.sha256(dumps_payload(legacy).encode("utf-8")).hexdigest() == UNTABLED_FORM_DIGEST
+    assert job_key(legacy) == GRAPH_BATCH_KEY
+    results = []
+    for form, queued in (("table", payload), ("legacy", legacy)):
+        service = AllocationService(tmp_path / f"{form}.sqlite", workers=1, port=0)
+        service.pool.start()
+        try:
+            job = _run_queued(service, queued, form)
+        finally:
+            service.shutdown()
+        assert job.state == DONE, job.error
+        results.append([(m["name"], m["functions"], m["records"]) for m in job.result["jobs"]])
+    assert results[0] == results[1]
+    assert len(results[0]) == 12
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda body: body.update(graphs={"0": body["graphs"][0]}), 'batch field "graphs" must be a list'),
+        (lambda body: body["graphs"].append([]), "batch graph entry 2 must be a graph-JSON object, got list"),
+        (lambda body: body["jobs"][3].update(graph=True), r'batch member 3: field "graph" must be .* got True'),
+        (lambda body: body["jobs"][3].update(graph="1"), r"batch member 3: field \"graph\" must be .* got '1'"),
+        (lambda body: body["jobs"][3].update(graph=1.0), r'batch member 3: field "graph" must be .* got 1\.0'),
+        (lambda body: body["jobs"][3].update(graph=-1), r'batch member 3: graph index -1 is out of range for "graphs" of length 2'),
+        (lambda body: body["jobs"][3].update(graph=2), r'batch member 3: graph index 2 is out of range for "graphs" of length 2'),
+        (lambda body: body["graphs"].append(body["graphs"][0]), "batch graph entry 2 is referenced by no member"),
+    ],
+    ids=["graphs-not-a-list", "entry-not-an-object", "index-bool", "index-string", "index-float",
+         "index-negative", "index-out-of-range", "entry-unreferenced"],
+)
+def test_malformed_graph_tables_are_typed_errors(change, message):
+    body = _graph_batch_body(table=True)
+    change(body)
+    with pytest.raises(ServiceError, match=message):
+        normalize_batch(body)
+
+
+def test_a_single_job_takes_no_graph_index():
+    with pytest.raises(ServiceError, match=r'field "graph" is an index into a batch\'s "graphs" table'):
+        normalize_submission({"graph": 0, "registers": 2})
+
+
+def test_members_resolved_from_the_table_keep_their_checks():
+    body = _graph_batch_body(table=True)
+    del body["jobs"][4]["registers"]
+    with pytest.raises(ServiceError, match=r'^batch member 4: graph submissions require an explicit "registers" count$'):
+        normalize_batch(body)
+    body = _graph_batch_body(table=True)
+    body["graphs"][1] = {**body["graphs"][1], "edges": [["v0", "nowhere"]]}
+    with pytest.raises(ServiceError, match=r"^invalid submission: edge \('v0', 'nowhere'\) references unknown vertex$"):
+        job_key(normalize_batch(body))
+
+
+def test_graph_table_errors_are_http_400(tmp_path):
+    service = AllocationService(tmp_path / "cells.sqlite", workers=0, port=0).start()
+    try:
+        client = ServiceClient(service.url)
+        body = _graph_batch_body(table=True)
+        body["jobs"][5]["graph"] = 7
+        with pytest.raises(ServiceError, match=r'HTTP 400: batch member 5: graph index 7 is out of range'):
+            client.submit_batch(body)
+        with pytest.raises(ServiceError, match=r"HTTP 400: field \"graph\" is an index"):
+            client.submit({"graph": 0, "registers": 2})
+        assert sum(service.queue.counts().values()) == 0
+    finally:
+        service.shutdown()
 
 
 # ---------------------------------------------------------------------- #

@@ -6,16 +6,18 @@
 * ``sweep --backend service`` and ``merge-batches`` fuse shard stores into
   an aggregate the report stage accepts;
 * ``sweep --corpus N`` streams a generated corpus through the store;
-* ``submit --batch`` posts a manifest of submissions as one batch job.
+* ``submit --batch`` posts a manifest of submissions as one batch job,
+  carrying each graph file it loads once.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _batch_body, main
 from repro.service.server import AllocationService
 from repro.store import open_store
 
@@ -159,6 +161,44 @@ def test_submit_batch_manifest_over_http(tmp_path, capsys):
         assert [m["name"] for m in job["result"]["jobs"]] == ["g", "inline"]
     finally:
         service.shutdown()
+
+
+def test_submit_batch_manifest_sends_each_graph_file_once(tmp_path, capsys):
+    from repro.graphs.generators import random_chordal_graph
+    from repro.graphs.io import dump_graph
+
+    dump_graph(random_chordal_graph(12, rng=4), tmp_path / "g.json")
+    manifest = {
+        "jobs": [
+            {"input": "g.json", "allocator": "NL", "registers": 2},
+            {"input": "g.json", "allocator": "NL", "registers": 3},
+            {"input": "g.json", "name": "renamed", "allocator": "NL", "registers": 2},
+            {"ir": IR, "name": "inline", "allocator": "NL", "registers": 2},
+        ],
+    }
+    manifest_path = tmp_path / "batch.json"
+    manifest_path.write_text(json.dumps(manifest))
+
+    # One table entry per (file, name); the IR member has no graph.
+    body = _batch_body(argparse.Namespace(batch=str(manifest_path), client=""))
+    assert [graph["name"] for graph in body["graphs"]] == ["g", "renamed"]
+    assert [m.get("graph") for m in body["jobs"]] == [0, 0, 1, None]
+
+    service = AllocationService(tmp_path / "cells.sqlite", workers=1, port=0).start()
+    try:
+        assert main(["submit", "--url", service.url, "--batch", str(manifest_path), "--wait"]) == 0
+        job = json.loads(capsys.readouterr().out)
+    finally:
+        service.shutdown()
+    assert job["state"] == "done"
+    assert [m["name"] for m in job["result"]["jobs"]] == ["g", "g", "renamed", "inline"]
+
+
+def test_submit_batch_manifest_entry_takes_no_graph_index(tmp_path, capsys):
+    manifest_path = tmp_path / "batch.json"
+    manifest_path.write_text(json.dumps({"jobs": [{"graph": 0, "registers": 2}]}))
+    assert main(["submit", "--url", "http://127.0.0.1:1", "--batch", str(manifest_path)]) == 1
+    assert 'batch manifest entry 0: "graph" must be a graph-JSON object' in capsys.readouterr().err
 
 
 def test_submit_requires_exactly_one_of_input_and_batch(tmp_path):
