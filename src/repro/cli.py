@@ -39,12 +39,12 @@ failure is delta-debugged into a minimal reproducer under
     repro-alloc oracle --replay
 
 Trace a run end-to-end (``allocate``/``sweep``/``oracle`` also take
-``--trace PATH``), summarize a recorded trace, or compare two bench
-payloads for regressions::
+``--trace PATH``), summarize a recorded trace, or compare the latest
+entries of two bench histories for regressions::
 
     repro-alloc trace program.ir --format chrome -o trace.json
     repro-alloc stats trace.jsonl
-    repro-alloc bench-diff BENCH_pipeline.json fresh.json --threshold 0.25
+    repro-alloc bench-diff BENCH_pipeline.json fresh.json
 
 Run the allocation service — a durable job queue + worker pool behind an
 HTTP API, with the experiment store as a read-through cache — then submit
@@ -468,16 +468,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench_diff = subparsers.add_parser(
         "bench-diff",
-        help="compare two BENCH_*.json files (latest entries) and flag regressions",
+        help="compare the latest entries of two bench histories; a median that moves "
+        "the bad way by more than its bound plus both IQRs is a regression",
     )
-    bench_diff.add_argument("old", help="baseline bench file (history or flat payload)")
-    bench_diff.add_argument("new", help="candidate bench file (history or flat payload)")
-    bench_diff.add_argument(
-        "--threshold",
-        type=float,
-        default=0.25,
-        help="relative change in the bad direction that counts as a regression (default 0.25)",
-    )
+    bench_diff.add_argument("old", help="baseline bench history (repro-bench-history/2)")
+    bench_diff.add_argument("new", help="candidate bench history (repro-bench-history/2)")
 
     serve = subparsers.add_parser(
         "serve",
@@ -786,11 +781,9 @@ def _command_bench_diff(args: argparse.Namespace) -> int:
     from repro.telemetry.bench import diff_entries, latest_entry, render_bench_diff
 
     try:
-        old_entry = latest_entry(args.old)
-        new_entry = latest_entry(args.new)
-    except (ReproError, OSError, json.JSONDecodeError) as error:
+        diff = diff_entries(latest_entry(args.old), latest_entry(args.new))
+    except ReproError as error:
         return _error(str(error))
-    diff = diff_entries(old_entry, new_entry, threshold=args.threshold)
     print(render_bench_diff(diff, old_label="old", new_label="new"))
     return 0 if diff.ok else 1
 

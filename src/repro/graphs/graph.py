@@ -147,11 +147,6 @@ class Graph:
         g._mutations = 1
         return g
 
-    @classmethod
-    def from_graph(cls, graph: "Graph") -> "Graph":
-        """``graph.copy()``, under the name ``DenseGraph.from_graph`` callers use."""
-        return graph.copy()
-
     def add_vertex(self, v: Vertex, weight: float = 1.0) -> None:
         """Add vertex ``v`` with the given spill-cost ``weight``.
 

@@ -13,7 +13,7 @@ writer).  The operations mirror the job lifecycle documented in
   least-recently-served *client* (round-robin fairness, so a mega-sweep's
   batch flood cannot starve interactive submitters), breaking ties by
   highest *effective* priority, and mark it running.  Effective priority
-  is ``priority + age_seconds / aging_seconds``: a job gains one priority
+  is ``priority + age_seconds / AGING_SECONDS``: a job gains one priority
   level per aging interval it waits, so any fixed-priority flood
   eventually loses to an old low-priority job (no starvation).  Remaining
   ties break on submission order.  The pick-and-mark is a single
@@ -21,7 +21,7 @@ writer).  The operations mirror the job lifecycle documented in
   processes sharing the file) can never claim the same job;
 * :meth:`JobQueue.complete` / :meth:`JobQueue.fail` — finish a running
   job.  Retryable failures re-queue with exponential backoff
-  (``retry_backoff * 2^(attempts-1)`` seconds) until ``max_attempts`` is
+  (``RETRY_BACKOFF * 2^(attempts-1)`` seconds) until ``max_attempts`` is
   exhausted, which dead-letters the job;
 * :meth:`JobQueue.recover` — called on server startup: re-queues jobs a
   previous process left ``running`` (the crash consumed their attempt).
@@ -73,6 +73,10 @@ from repro.telemetry.tracer import current_tracer
 
 #: attempts a job gets when its submission names no ``max_attempts``.
 DEFAULT_MAX_ATTEMPTS = 3
+#: seconds of waiting worth one priority level in the claim order.
+AGING_SECONDS = 30.0
+#: base delay of the exponential retry backoff, in seconds.
+RETRY_BACKOFF = 0.05
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS jobs (
@@ -154,11 +158,6 @@ class JobQueue:
     ----------
     path:
         Database file (created if missing, parents included).
-    aging_seconds:
-        Seconds of waiting worth one priority level in the claim order
-        (see the module docstring).
-    retry_backoff:
-        Base delay of the exponential retry backoff, in seconds.
     clock:
         Epoch-seconds time source (injectable for deterministic tests).
     tracer:
@@ -170,19 +169,11 @@ class JobQueue:
         self,
         path: Union[str, Path],
         *,
-        aging_seconds: float = 30.0,
-        retry_backoff: float = 0.05,
         clock: Callable[[], float] = time.time,
         tracer: Optional[Any] = None,
     ) -> None:
-        if aging_seconds <= 0:
-            raise ServiceError(f"aging_seconds must be positive, got {aging_seconds}")
-        if retry_backoff < 0:
-            raise ServiceError(f"retry_backoff must be >= 0, got {retry_backoff}")
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.aging_seconds = float(aging_seconds)
-        self.retry_backoff = float(retry_backoff)
         self._clock = clock
         self._tracer = tracer
         self._lock = threading.Lock()
@@ -291,7 +282,7 @@ class JobQueue:
         Claim order is *fair across clients first*: the client served
         longest ago (never-served clients count as the epoch) wins, then —
         within that client's jobs — effective priority
-        ``priority + age/aging_seconds`` descending, then submission order.
+        ``priority + age/AGING_SECONDS`` descending, then submission order.
         With every job under one client this degenerates to the historical
         priority+aging order.  A sweep flooding thousands of batch jobs
         therefore alternates with an interactive submitter instead of
@@ -320,7 +311,7 @@ class JobQueue:
                     "     j.priority + (? - j.created_at) / ? DESC, j.seq ASC LIMIT 1"
                     " ) AND state=?"
                     f" RETURNING {_COLUMNS}",
-                    (RUNNING, worker, stamp, PENDING, stamp, stamp, self.aging_seconds, PENDING),
+                    (RUNNING, worker, stamp, PENDING, stamp, stamp, AGING_SECONDS, PENDING),
                 ).fetchone()
                 job = _row_to_job(row) if row is not None else None
                 if job is not None:
@@ -382,7 +373,7 @@ class JobQueue:
 
         Non-retryable failures (deterministic domain errors) terminate the
         job as ``failed`` immediately.  Retryable ones re-queue it with
-        exponential backoff — ``retry_backoff * 2^(attempts-1)`` seconds —
+        exponential backoff — ``RETRY_BACKOFF * 2^(attempts-1)`` seconds —
         until ``max_attempts`` claims have been spent, which dead-letters
         the job as ``dead``.
         """
@@ -400,7 +391,7 @@ class JobQueue:
             elif job.attempts >= job.max_attempts:
                 new_state, not_before, outcome = DEAD, job.not_before, "dead"
             else:
-                backoff = self.retry_backoff * (2 ** (job.attempts - 1))
+                backoff = RETRY_BACKOFF * (2 ** (job.attempts - 1))
                 new_state, not_before, outcome = PENDING, stamp + backoff, "retried"
             self._conn.execute(
                 "UPDATE jobs SET state=?, not_before=?, error=?, claimed_by=NULL, updated_at=?"

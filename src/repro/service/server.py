@@ -57,6 +57,8 @@ from repro.store.base import open_store
 #: largest accepted request body (a corpus function is a few KiB; 8 MiB is
 #: generous headroom, anything larger is likely a client bug).
 MAX_BODY_BYTES = 8 * 1024 * 1024
+#: read size when discarding a refused body.
+_DRAIN_CHUNK_BYTES = 64 * 1024
 
 
 def default_queue_path(store_path: Union[str, Path]) -> Path:
@@ -221,6 +223,16 @@ def _make_handler(service: AllocationService) -> type:
             if length <= 0:
                 raise ServiceError("request body required")
             if length > MAX_BODY_BYTES:
+                # Drain what the client is still sending, or it fails on a
+                # broken pipe before it reads the 400; then close, so no
+                # part of this body is parsed as a next keep-alive request.
+                self.close_connection = True
+                remaining = length
+                while remaining > 0:
+                    chunk = self.rfile.read(min(remaining, _DRAIN_CHUNK_BYTES))
+                    if not chunk:
+                        break
+                    remaining -= len(chunk)
                 raise ServiceError(f"request body too large ({length} bytes)")
             raw = self.rfile.read(length)
             try:

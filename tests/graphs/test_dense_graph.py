@@ -56,9 +56,9 @@ def test_dense_graph_is_the_graph_class():
 # ---------------------------------------------------------------------- #
 # the Graph API on rows
 # ---------------------------------------------------------------------- #
-def test_from_graph_round_trip_preserves_everything():
+def test_copy_round_trip_preserves_everything():
     g = random_chordal_graph(40, rng=3, extra_edge_prob=0.3)
-    d = Graph.from_graph(g)
+    d = g.copy()
     assert d is not g
     assert len(d) == len(g)
     assert d.vertices() == g.vertices()

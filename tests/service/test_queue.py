@@ -10,7 +10,7 @@ import pytest
 from repro.errors import QueueError, ServiceError
 from repro.service import jobs
 from repro.service.jobs import DEAD, DONE, FAILED, PENDING, RUNNING, dumps_payload
-from repro.service.queue import JobQueue
+from repro.service.queue import AGING_SECONDS, RETRY_BACKOFF, JobQueue
 from repro.telemetry import Tracer
 
 
@@ -30,7 +30,7 @@ class FakeClock:
 @pytest.fixture()
 def queue(tmp_path):
     clock = FakeClock()
-    q = JobQueue(tmp_path / "q.sqlite", clock=clock, retry_backoff=1.0)
+    q = JobQueue(tmp_path / "q.sqlite", clock=clock)
     q.clock = clock  # expose for tests
     yield q
     q.close()
@@ -90,17 +90,17 @@ def test_retry_backoff_then_dead_letter(queue):
     first = queue.claim("w0")
     failed = queue.fail(job.id, "transient", retryable=True)
     assert failed.state == PENDING
-    assert failed.not_before == clock.now + 1.0  # retry_backoff * 2^0
+    assert failed.not_before == clock.now + RETRY_BACKOFF * 2**0
 
     assert queue.claim("w0") is None  # backoff holds the job back
-    clock.advance(1.5)
+    clock.advance(1.5 * RETRY_BACKOFF)
     second = queue.claim("w0")
     assert second is not None and second.attempts == 2
     failed = queue.fail(job.id, "transient again", retryable=True)
     assert failed.state == PENDING
-    assert failed.not_before == clock.now + 2.0  # retry_backoff * 2^1
+    assert failed.not_before == clock.now + RETRY_BACKOFF * 2**1
 
-    clock.advance(2.5)
+    clock.advance(2.5 * RETRY_BACKOFF)
     third = queue.claim("w0")
     assert third.attempts == 3
     dead = queue.fail(job.id, "still broken", retryable=True)
@@ -139,10 +139,10 @@ def test_priority_order_and_fifo_tiebreak(queue):
 
 def test_aging_prevents_starvation(tmp_path):
     clock = FakeClock()
-    q = JobQueue(tmp_path / "q.sqlite", clock=clock, aging_seconds=10.0)
+    q = JobQueue(tmp_path / "q.sqlite", clock=clock)
     old_low, _ = q.enqueue({}, job_key="old-low", priority=0)
-    # 50 seconds later the low-priority job has aged 5 effective levels...
-    clock.advance(50.0)
+    # Five aging intervals later the low-priority job has aged 5 levels...
+    clock.advance(5 * AGING_SECONDS)
     fresh_high, _ = q.enqueue({}, job_key="fresh-high", priority=3)
     # ...so it outranks a freshly submitted priority-3 job.
     assert q.claim("w").id == old_low.id
@@ -263,8 +263,6 @@ def test_concurrent_claims_never_double_claim(tmp_path):
 
 
 def test_validation_errors(tmp_path):
-    with pytest.raises(ServiceError):
-        JobQueue(tmp_path / "q.sqlite", aging_seconds=0)
     q = JobQueue(tmp_path / "q.sqlite")
     with pytest.raises(ServiceError):
         q.enqueue({}, job_key="k", max_attempts=0)

@@ -172,6 +172,23 @@ def test_nan_weight_graph_is_http_400_and_queues_nothing(tmp_path):
         assert len(service.queue) == 0
 
 
+def test_oversize_body_is_http_400_and_the_service_keeps_answering(tmp_path):
+    """A refused body is read to its end before the 400, so the client,
+    still sending, gets the typed error rather than a broken pipe."""
+    from repro.errors import ServiceError
+    from repro.service.server import MAX_BODY_BYTES
+
+    body = {"ir": ""}
+    body["ir"] = "x" * (MAX_BODY_BYTES + 1 - len(json.dumps(body)))
+    assert len(json.dumps(body).encode("utf-8")) == MAX_BODY_BYTES + 1
+    with AllocationService(tmp_path / "c.sqlite", tmp_path / "q.sqlite", workers=0) as service:
+        client = ServiceClient(service.url)
+        with pytest.raises(ServiceError, match=r"HTTP 400.*too large \(8388609 bytes\)"):
+            client.submit(body)
+        assert client.health() == {"status": "ok"}
+        assert len(service.queue) == 0
+
+
 @pytest.mark.parametrize("limit", ["-1", "0", "abc", "2.5"])
 def test_listing_limit_below_one_or_not_an_integer_is_http_400(tmp_path, limit):
     """SQLite reads a negative ``LIMIT`` as no limit: ``limit=-1`` must not

@@ -177,7 +177,7 @@ def test_graph_digest_pinned_by_value(name, dense):
     build, expected = GRAPH_PINS[name]
     graph = build()
     if dense:
-        graph = DenseGraph.from_graph(graph)
+        graph = graph.copy()
     assert graph_digest(graph) == expected
 
 

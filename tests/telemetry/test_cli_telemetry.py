@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 from repro.ir.printer import print_function
 from repro.telemetry.bench import append_history
@@ -170,28 +172,66 @@ def test_cli_oracle_trace_flag(tmp_path, capsys):
 # ---------------------------------------------------------------------- #
 # bench-diff
 # ---------------------------------------------------------------------- #
+def _history(path, **medians):
+    """A one-entry history: workload ``w``, each metric with an IQR of 0.1."""
+    end_to_end = {
+        name: {"median": median, "q1": median - 0.05, "q3": median + 0.05, "n": 5, "unit": "s",
+               "better": "higher" if name.startswith("rate") else "lower", "bound": 0.25}
+        for name, median in medians.items()
+    }
+    append_history(str(path), {"workloads": {"w": {"end_to_end": end_to_end, "per_layer": {}}}},
+                   recorded_at="t", git_rev="r")
+    return str(path)
+
+
 def test_cli_bench_diff_ok_and_regressed(tmp_path, capsys):
-    old = str(tmp_path / "old.json")
-    new = str(tmp_path / "new.json")
-    append_history(old, {"run_seconds": 1.0}, recorded_at="t1", git_rev="r1")
-    append_history(new, {"run_seconds": 1.1}, recorded_at="t2", git_rev="r2")
-    assert main(["bench-diff", old, new]) == 0
+    # Lower-is-better 1.0 s and higher-is-better 4.0/s may move by their
+    # bound (0.25 and 1.0) plus both IQRs (0.2).
+    old = _history(tmp_path / "old.json", run_s=1.0, rate=4.0)
+    within = _history(tmp_path / "within.json", run_s=1.4, rate=2.9)
+    assert main(["bench-diff", old, within]) == 0
     assert "0 regression(s)" in capsys.readouterr().out
 
-    append_history(new, {"run_seconds": 2.0}, recorded_at="t3", git_rev="r3")
-    assert main(["bench-diff", old, new]) == 1
+    slower = _history(tmp_path / "slower.json", run_s=1.5, rate=4.0)
+    assert main(["bench-diff", old, slower]) == 1
     out = capsys.readouterr().out
-    assert "REGRESSED" in out and "run_seconds" in out
+    assert "1 regression(s)" in out
+    assert "REGRESSED" in next(line for line in out.splitlines() if line.startswith("w.run_s"))
 
-    # A looser threshold lets the same pair pass.
-    assert main(["bench-diff", old, new, "--threshold", "2.0"]) == 0
+    lower_rate = _history(tmp_path / "lower_rate.json", run_s=1.0, rate=2.7)
+    assert main(["bench-diff", old, lower_rate]) == 1
+    out = capsys.readouterr().out
+    assert "REGRESSED" in next(line for line in out.splitlines() if line.startswith("w.rate"))
+
+    # Improvements never fail the diff.
+    faster = _history(tmp_path / "faster.json", run_s=0.5, rate=5.3)
+    assert main(["bench-diff", old, faster]) == 0
+    assert capsys.readouterr().out.count("improved") == 2
 
 
-def test_cli_bench_diff_reads_flat_payloads(tmp_path, capsys):
+def test_cli_bench_diff_rejects_other_formats(tmp_path, capsys):
+    good = _history(tmp_path / "good.json", run_s=1.0)
     flat = tmp_path / "flat.json"
     flat.write_text(json.dumps({"run_seconds": 1.0}))
-    assert main(["bench-diff", str(flat), str(flat)]) == 0
-    assert "1 metric(s) compared" in capsys.readouterr().out
+    format_1 = tmp_path / "format1.json"
+    format_1.write_text(json.dumps(
+        {"format": "repro-bench-history/1", "series": [{"payload": {"run_seconds": 1.0}}]}
+    ))
+    for bad, named in ((flat, "None"), (format_1, "'repro-bench-history/1'")):
+        for argv in (["bench-diff", str(bad), good], ["bench-diff", good, str(bad)]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("repro-alloc: error: ")
+            assert f"unknown bench format {named}" in lines[0]
+
+
+def test_cli_bench_diff_has_no_threshold_flag(tmp_path):
+    good = _history(tmp_path / "good.json", run_s=1.0)
+    with pytest.raises(SystemExit) as raised:
+        main(["bench-diff", good, good, "--threshold", "10"])
+    assert raised.value.code == 2
 
 
 def test_cli_bench_diff_missing_file_is_clean_error(tmp_path, capsys):
