@@ -5,9 +5,9 @@ the allocators and register counts the paper compares, its title and how it
 is drawn.  :func:`draw_figure` sweeps a spec's corpus (or takes records
 already swept), normalizes against the optimal allocator and returns a
 :class:`FigureResult` carrying both the structured series and a rendered
-ASCII table; ``figure8``…``figure15`` each draw one spec.  The benchmark
-harness (``benchmarks/``) calls these functions and prints the rendered
-text, so ``bench_output.txt`` contains the regenerated figures.
+ASCII table; ``figure8``…``figure15`` each draw one spec.  The
+``repro-alloc reproduce`` and ``figure`` commands print the rendered text;
+``figures/`` holds it at full scale, written by ``figures/regenerate.py``.
 
 The ``scale`` parameter shrinks the synthetic corpora (fraction of functions
 per program) so quick runs stay quick; ``scale=1.0`` is the full corpus.
@@ -138,28 +138,21 @@ class FigureResult:
 # ---------------------------------------------------------------------- #
 # shared machinery
 # ---------------------------------------------------------------------- #
-def _run_suite(
-    spec: FigureSpec, seed: int, scale: float, max_instances: Optional[int], verify: bool
-) -> List[InstanceRecord]:
-    """Build a spec's corpus and sweep its grid."""
-    corpus = build_corpus(spec.suite, target=spec.target, seed=seed, scale=scale)
-    config = ExperimentConfig(list(spec.allocators), list(spec.register_counts), verify=verify)
-    return run_experiment(corpus, config, max_instances=max_instances)
-
-
 def draw_figure(
     figure: str, spec: FigureSpec, seed: int = 2013, scale: float = 1.0, max_instances: Optional[int] = None,
-    verify: bool = True, records: Optional[List[InstanceRecord]] = None,
+    records: Optional[List[InstanceRecord]] = None,
 ) -> FigureResult:
     """Draw ``spec`` as ``figure``: sweep its corpus unless ``records`` are
     given, normalize against Optimal and render the table.
 
     Given records are drawn whole (each is normalized; the table shows the
-    spec's grid), so one sweep — a store, or one benchmark sweep per suite
-    — draws every figure of its suite.
+    spec's grid), so one sweep — a store, or one swept table per suite —
+    draws every figure of its suite.
     """
     if records is None:
-        records = _run_suite(spec, seed, scale, max_instances, verify)
+        corpus = build_corpus(spec.suite, target=spec.target, seed=seed, scale=scale)
+        config = ExperimentConfig(list(spec.allocators), list(spec.register_counts))
+        records = run_experiment(corpus, config, max_instances=max_instances)
     normalized, unbounded = normalize_records(records)
     result = FigureResult(figure=figure, title=spec.title, records=records, unbounded_records=unbounded)
     if spec.kind == "mean":
@@ -184,11 +177,11 @@ def draw_figure(
 
 def _paper_figure(
     figure: str, register_counts: Sequence[int], seed: int, scale: float, max_instances: Optional[int],
-    verify: bool, records: Optional[List[InstanceRecord]],
+    records: Optional[List[InstanceRecord]],
 ) -> FigureResult:
     """Draw the paper figure ``figure`` over ``register_counts``."""
     spec = replace(FIGURE_SPECS[figure], register_counts=tuple(register_counts))
-    return draw_figure(figure, spec, seed, scale, max_instances, verify, records)
+    return draw_figure(figure, spec, seed, scale, max_instances, records)
 
 
 # ---------------------------------------------------------------------- #
@@ -196,66 +189,66 @@ def _paper_figure(
 # ---------------------------------------------------------------------- #
 def figure8(
     seed: int = 2013, scale: float = 1.0, register_counts: Sequence[int] = FIGURE_SPECS["figure8"].register_counts,
-    max_instances: Optional[int] = None, verify: bool = True, records: Optional[List[InstanceRecord]] = None,
+    max_instances: Optional[int] = None, records: Optional[List[InstanceRecord]] = None,
 ) -> FigureResult:
     """Figure 8: mean normalized allocation cost, SPEC CPU2000int on ST231."""
-    return _paper_figure("figure8", register_counts, seed, scale, max_instances, verify, records)
+    return _paper_figure("figure8", register_counts, seed, scale, max_instances, records)
 
 
 def figure9(
     seed: int = 2013, scale: float = 1.0, register_counts: Sequence[int] = FIGURE_SPECS["figure9"].register_counts,
-    max_instances: Optional[int] = None, verify: bool = True, records: Optional[List[InstanceRecord]] = None,
+    max_instances: Optional[int] = None, records: Optional[List[InstanceRecord]] = None,
 ) -> FigureResult:
     """Figure 9: mean normalized allocation cost, EEMBC on ST231."""
-    return _paper_figure("figure9", register_counts, seed, scale, max_instances, verify, records)
+    return _paper_figure("figure9", register_counts, seed, scale, max_instances, records)
 
 
 def figure10(
     seed: int = 2013, scale: float = 1.0, register_counts: Sequence[int] = FIGURE_SPECS["figure10"].register_counts,
-    max_instances: Optional[int] = None, verify: bool = True, records: Optional[List[InstanceRecord]] = None,
+    max_instances: Optional[int] = None, records: Optional[List[InstanceRecord]] = None,
 ) -> FigureResult:
     """Figure 10: mean normalized allocation cost, lao-kernels on ARMv7."""
-    return _paper_figure("figure10", register_counts, seed, scale, max_instances, verify, records)
+    return _paper_figure("figure10", register_counts, seed, scale, max_instances, records)
 
 
 def figure11(
     seed: int = 2013, scale: float = 1.0, register_counts: Sequence[int] = FIGURE_SPECS["figure11"].register_counts,
-    max_instances: Optional[int] = None, verify: bool = True, records: Optional[List[InstanceRecord]] = None,
+    max_instances: Optional[int] = None, records: Optional[List[InstanceRecord]] = None,
 ) -> FigureResult:
     """Figure 11: distribution of normalized costs over SPEC CPU2000int programs."""
-    return _paper_figure("figure11", register_counts, seed, scale, max_instances, verify, records)
+    return _paper_figure("figure11", register_counts, seed, scale, max_instances, records)
 
 
 def figure12(
     seed: int = 2013, scale: float = 1.0, register_counts: Sequence[int] = FIGURE_SPECS["figure12"].register_counts,
-    max_instances: Optional[int] = None, verify: bool = True, records: Optional[List[InstanceRecord]] = None,
+    max_instances: Optional[int] = None, records: Optional[List[InstanceRecord]] = None,
 ) -> FigureResult:
     """Figure 12: distribution of normalized costs over EEMBC programs."""
-    return _paper_figure("figure12", register_counts, seed, scale, max_instances, verify, records)
+    return _paper_figure("figure12", register_counts, seed, scale, max_instances, records)
 
 
 def figure13(
     seed: int = 2013, scale: float = 1.0, register_counts: Sequence[int] = FIGURE_SPECS["figure13"].register_counts,
-    max_instances: Optional[int] = None, verify: bool = True, records: Optional[List[InstanceRecord]] = None,
+    max_instances: Optional[int] = None, records: Optional[List[InstanceRecord]] = None,
 ) -> FigureResult:
     """Figure 13: distribution of normalized costs over lao-kernels programs."""
-    return _paper_figure("figure13", register_counts, seed, scale, max_instances, verify, records)
+    return _paper_figure("figure13", register_counts, seed, scale, max_instances, records)
 
 
 def figure14(
     seed: int = 2013, scale: float = 1.0, register_counts: Sequence[int] = FIGURE_SPECS["figure14"].register_counts,
-    max_instances: Optional[int] = None, verify: bool = True, records: Optional[List[InstanceRecord]] = None,
+    max_instances: Optional[int] = None, records: Optional[List[InstanceRecord]] = None,
 ) -> FigureResult:
     """Figure 14: mean normalized cost on the SPEC JVM98 stand-in, per register count."""
-    return _paper_figure("figure14", register_counts, seed, scale, max_instances, verify, records)
+    return _paper_figure("figure14", register_counts, seed, scale, max_instances, records)
 
 
 def figure15(
     seed: int = 2013, scale: float = 1.0, register_count: int = FIGURE_SPECS["figure15"].register_counts[0],
-    max_instances: Optional[int] = None, verify: bool = True, records: Optional[List[InstanceRecord]] = None,
+    max_instances: Optional[int] = None, records: Optional[List[InstanceRecord]] = None,
 ) -> FigureResult:
     """Figure 15: per-benchmark normalized cost at ``register_count`` registers (JVM study)."""
-    return _paper_figure("figure15", (register_count,), seed, scale, max_instances, verify, records)
+    return _paper_figure("figure15", (register_count,), seed, scale, max_instances, records)
 
 
 # ---------------------------------------------------------------------- #
@@ -336,14 +329,13 @@ def ablation_study(
     scale: float = 1.0,
     register_counts: Sequence[int] = (2, 4, 8, 16),
     max_instances: Optional[int] = None,
-    verify: bool = True,
 ) -> FigureResult:
     """Ablation of the two improvements (bias, fixed point) over plain NL."""
     spec = FigureSpec(
         suite, None, ("NL", "BL", "FPL", "BFPL", "Optimal"), tuple(register_counts),
         title=f"Ablation - contribution of biasing and fixed-point iteration ({suite} stand-in)",
     )
-    return draw_figure("ablation", spec, seed, scale, max_instances, verify)
+    return draw_figure("ablation", spec, seed, scale, max_instances)
 
 
 ALL_FIGURES = {

@@ -1,10 +1,11 @@
 """ASCII, markdown and HTML rendering of experiment results.
 
-The benchmarks print the ASCII tables so the regenerated figures can be read
-off the console / ``bench_output.txt`` directly; the values are the same
-series the paper plots as bar charts (Figures 8-10, 14-15) and box plots
-(11-13).  The ``repro-alloc report`` subcommand additionally renders the same
-data as markdown or a standalone HTML page per figure.
+``repro-alloc reproduce`` prints the ASCII tables, so the regenerated
+figures can be read off the console (or ``figures/*.txt``, their committed
+full-scale text) directly; the values are the same series the paper plots
+as bar charts (Figures 8-10, 14-15) and box plots (11-13).  The
+``repro-alloc report`` subcommand additionally renders the same data as
+markdown or a standalone HTML page per figure.
 """
 
 from __future__ import annotations

@@ -218,21 +218,32 @@ def _make_handler(service: AllocationService) -> type:
             self.end_headers()
             self.wfile.write(body)
 
+        def _body_length(self) -> int:
+            raw = self.headers.get("Content-Length") or "0"
+            if not (raw.isascii() and raw.isdigit()):
+                # The body's end is unknown: close, so no part of it is
+                # parsed as a next keep-alive request.
+                self.close_connection = True
+                raise ServiceError(f"invalid Content-Length {raw!r}")
+            return int(raw)
+
+        def _discard_body(self, length: int) -> None:
+            # Drain what the client is still sending, or it fails on a
+            # broken pipe before it reads the answer; then close, so no
+            # part of this body is parsed as a next keep-alive request.
+            self.close_connection = True
+            while length > 0:
+                chunk = self.rfile.read(min(length, _DRAIN_CHUNK_BYTES))
+                if not chunk:
+                    break
+                length -= len(chunk)
+
         def _read_body(self) -> Any:
-            length = int(self.headers.get("Content-Length") or 0)
-            if length <= 0:
+            length = self._body_length()
+            if length == 0:
                 raise ServiceError("request body required")
             if length > MAX_BODY_BYTES:
-                # Drain what the client is still sending, or it fails on a
-                # broken pipe before it reads the 400; then close, so no
-                # part of this body is parsed as a next keep-alive request.
-                self.close_connection = True
-                remaining = length
-                while remaining > 0:
-                    chunk = self.rfile.read(min(remaining, _DRAIN_CHUNK_BYTES))
-                    if not chunk:
-                        break
-                    remaining -= len(chunk)
+                self._discard_body(length)
                 raise ServiceError(f"request body too large ({length} bytes)")
             raw = self.rfile.read(length)
             try:
@@ -272,15 +283,15 @@ def _make_handler(service: AllocationService) -> type:
         def do_POST(self) -> None:  # noqa: N802 - http.server contract
             parsed = urlparse(self.path)
             parts = [p for p in parsed.path.split("/") if p]
-            if parts == ["v1", "jobs"]:
-                submit = service.submit
-            elif parts == ["v1", "batches"]:
-                submit = service.submit_batch
-            else:
-                self._send_json(404, {"error": f"no such endpoint {parsed.path!r}"})
-                return
             try:
-                job, deduped = submit(self._read_body())
+                if parts == ["v1", "jobs"]:
+                    job, deduped = service.submit(self._read_body())
+                elif parts == ["v1", "batches"]:
+                    job, deduped = service.submit_batch(self._read_body())
+                else:
+                    self._discard_body(self._body_length())
+                    self._send_json(404, {"error": f"no such endpoint {parsed.path!r}"})
+                    return
             except ServiceError as error:
                 self._send_json(400, {"error": str(error)})
                 return

@@ -1,9 +1,10 @@
 """Value pins of the paper figures' rendered text.
 
-Each figure of ``FIGURE_SPECS`` is drawn the way ``benchmarks/conftest.py``
-draws it: from one sweep of its suite, shared by every figure of that suite.
-A sha256 of the text pins it, so a figure changes only with a deliberate
-change to its drawing, its corpus or an allocator.
+Each figure of ``FIGURE_SPECS`` is drawn the way ``figures/cells.csv`` is
+tabulated: from one sweep of its suite over the union of its figures' grids,
+shared by every figure of that suite.  A sha256 of the text pins it, so a
+figure changes only with a deliberate change to its drawing, its corpus or
+an allocator.  ``test_committed_figures.py`` checks the full-scale text.
 
 The swept corpora are miniatures of the suites: each suite's first three
 programs, two functions of ten statements each, with the suite's name,

@@ -134,8 +134,9 @@ def test_inclusion_study_rate_is_high():
     result = inclusion_study(suite="lao_kernels", seed=3, scale=0.2, register_counts=(2, 4, 8), max_instances=3)
     rate = result.series["summary"]["rate"]
     assert 0.0 <= rate <= 1.0
-    # The paper reports ~99.8%; on small synthetic corpora we only require
-    # that inclusion holds for a clear majority of the register-count pairs.
+    # The paper reports 99.83% on SPEC JVM98; the full lao_kernels corpus
+    # reads 96.9% (figures/inclusion.txt).  On this three-instance slice we
+    # only require that inclusion holds for a clear majority of the pairs.
     assert rate >= 0.6
 
 

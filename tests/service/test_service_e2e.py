@@ -189,6 +189,54 @@ def test_oversize_body_is_http_400_and_the_service_keeps_answering(tmp_path):
         assert len(service.queue) == 0
 
 
+def _raw_exchange(port: int, request: bytes):
+    """Send ``request`` on one connection and read the answer until the
+    server closes it (``closed``) or stays silent for a second."""
+    import socket
+
+    received = b""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(request)
+        sock.settimeout(1.0)
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except socket.timeout:
+                return received, False
+            if not chunk:
+                return received, True
+            received += chunk
+
+
+def test_post_to_an_unknown_path_is_one_404_and_its_body_is_not_a_request(tmp_path):
+    """The body of a refused POST is read and dropped, not parsed as a next
+    keep-alive request: here the body is itself a ``GET /healthz``."""
+    smuggled = b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n"
+    request = b"POST /v1/nope HTTP/1.1\r\nHost: localhost\r\nContent-Length: %d\r\n\r\n%s" % (
+        len(smuggled), smuggled
+    )
+    with AllocationService(tmp_path / "c.sqlite", tmp_path / "q.sqlite", workers=0) as service:
+        received, closed = _raw_exchange(service.port, request)
+        assert ServiceClient(service.url).health() == {"status": "ok"}
+    assert received.count(b"HTTP/1.1 ") == 1, received
+    head, _, body = received.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 404 ")
+    assert json.loads(body) == {"error": "no such endpoint '/v1/nope'"}
+    assert closed
+
+
+def test_non_integer_content_length_is_http_400_and_closes_the_connection(tmp_path):
+    request = b"POST /v1/jobs HTTP/1.1\r\nHost: localhost\r\nContent-Length: abc\r\n\r\n"
+    with AllocationService(tmp_path / "c.sqlite", tmp_path / "q.sqlite", workers=0) as service:
+        received, closed = _raw_exchange(service.port, request)
+        assert ServiceClient(service.url).health() == {"status": "ok"}
+        assert len(service.queue) == 0
+    head, _, body = received.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 "), received
+    assert json.loads(body) == {"error": "invalid Content-Length 'abc'"}
+    assert closed
+
+
 @pytest.mark.parametrize("limit", ["-1", "0", "abc", "2.5"])
 def test_listing_limit_below_one_or_not_an_integer_is_http_400(tmp_path, limit):
     """SQLite reads a negative ``LIMIT`` as no limit: ``limit=-1`` must not
